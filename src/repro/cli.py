@@ -226,7 +226,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace=args.trace,
         )
     except SimulationError as exc:
-        # e.g. REPRO_ENGINE_CORE set to an unknown core name
+        # e.g. the event budget tripped by a live-locking scheduler
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lb = span_lower_bound(inst)

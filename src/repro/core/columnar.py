@@ -1,16 +1,16 @@
-"""Struct-of-arrays engine core (the default hot path).
+"""Struct-of-arrays engine core: the one event loop behind every run.
 
-The object core in :mod:`repro.core.engine` allocates one ``Job`` plus one
-``_JobState`` plus one ``JobView`` per job and dispatches every event
-through a Python handler.  On the §3.1 adversarial macro (k = 2: 65 808
-jobs, >260 000 events) those per-job objects and per-event frames are the
-dominant cost.  This module replaces them with a columnar layout:
+An object-per-job layout would allocate one ``Job``, one state record and
+one ``JobView`` per job and dispatch every event through a Python
+handler.  On the §3.1 adversarial macro (k = 2: 65 808 jobs, >260 000
+events) those per-job objects and per-event frames would be the dominant
+cost.  This module uses a columnar layout instead:
 
 ``JobTable``
     One NumPy column per field (``arrival``/``deadline``/``length``/
     ``start`` as float64, ``ids`` as int64, ``state`` as int8) plus
     Python-list mirrors of the float columns.  Events carry integer
-    **row indexes** into the table; ``Job``/:class:`TableJobView`
+    **row indexes** into the table; ``Job``/:class:`~repro.core.engine.JobView`
     objects are materialised lazily, only at API boundaries (scheduler
     hooks, adversary scalar hooks, the final ``SimulationResult``).
 
@@ -22,46 +22,47 @@ dominant cost.  This module replaces them with a columnar layout:
     the mirrors; vector math goes through the columns.
 
 ``ColumnarCore``
-    The event loop.  It shares the :class:`~repro.core.events.EventQueue`
-    (and its ``(time, kind, seq)`` total order) with the object core but
-    adds **cohort gathering**: when the next heap entries share
-    ``(time, kind)`` they are popped together and handled as one array
-    operation.  Gathering kind ``K`` at time ``t`` is sound because no
-    handler can push an event at ``(t, kind < K)``:
+    The event loop, :meth:`ColumnarCore._dispatch`.  :meth:`run` drains
+    it with no horizon; the streaming API (``start_stream``/``feed``/
+    ``advance``/``finish_stream``) drives it up to a horizon at a time.
+    It pops :class:`~repro.core.events.EventQueue` entries in their
+    ``(time, kind, seq)`` total order and adds **cohort gathering**: when
+    the next heap entries share ``(time, kind)`` they are popped together
+    and handled as one array operation.  Gathering kind ``K`` at time
+    ``t`` is sound because no handler can push an event at
+    ``(t, kind < K)``, and a cohort never crosses a horizon because all
+    of it shares one time.  Cohorts gather only when:
 
-    * ``ARRIVAL`` cohorts — gathered only when the scheduler's
-      ``on_arrival`` is the inherited no-op (arrival handling then only
-      flips state and pushes ``DEADLINE`` events, kind 3 > 2);
-    * ``ASSIGN`` cohorts — gathered only when the adversary implements
-      ``assign_lengths_batch`` (probed via the ``_repro_fallback``
-      marker *before* gathering, because popped events cannot be
-      un-popped).  Same-time completions produced by an assign cohort
-      (the §3.1 shape: start + 1 = assign time = completion time for
-      every length-1 job) are consumed **inline**, never pushed —
-      they still count in ``events_processed``, exactly as if popped;
-    * ``COMPLETION`` cohorts — always gatherable (lengths are > 0, so
-      no handler can create another completion at the same instant);
-    * ``DEADLINE``/``TIMER``/``ADVERSARY`` — never gathered (their
-      handlers may start jobs or mutate arbitrary state per event).
+    * ``ARRIVAL`` — the scheduler's ``on_arrival`` is the inherited
+      no-op (arrival handling then only flips state and pushes
+      ``DEADLINE`` events, kind 3 > 2);
+    * ``ASSIGN`` — the adversary implements ``assign_lengths_batch``
+      (probed via the ``_repro_fallback`` marker *before* gathering,
+      because popped events cannot be un-popped).  Same-time completions
+      produced by an assign cohort (the §3.1 shape: start + 1 = assign
+      time = completion time for every length-1 job) are consumed
+      **inline**, never pushed — they still count in
+      ``events_processed``, exactly as if popped;
+    * ``COMPLETION`` — always (lengths are > 0, so no handler can create
+      another completion at the same instant);
+    * ``DEADLINE``/``TIMER``/``ADVERSARY`` — never (their handlers may
+      start jobs or mutate arbitrary state per event);
+    * and never while a recorder is armed.  Gathering changes heap
+      push/pop mechanics, which the armed loop surfaces (per-kind event
+      counters, ``heap.pushes``, ``heap.peak``), so armed runs dispatch
+      every event singly and their obs output stays fixed.
 
-    When a recorder is armed the core switches to ``_run_armed``: a
-    scalar mirror of the object loop (no gathering) so per-kind event
-    counters, ``heap.pushes`` and ``heap.peak`` stay bit-identical.
-
-Equivalence contract
---------------------
-The object core defines the semantics; this core must reproduce its
-traces, schedules, exceptions (type, message, and which job raises
-first) and obs output bit-for-bit.  ``tests/test_engine_equivalence.py``
-enforces this for all five paper schedulers; the rules that make it hold
-are spelled out at each site below.
+Gathered and single dispatch are observably identical: the same traces,
+schedules, exceptions (type, message, and which job raises first) and
+obs records.  ``tests/data/engine_oracle.jsonl`` pins that output; the
+rules that make it hold are spelled out at each site below.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -71,7 +72,6 @@ from .errors import (
     SchedulingViolationError,
     SimulationError,
 )
-from .errors import ClairvoyanceError
 from .events import EventQueue
 from .intervals import union_measure
 from .job import Instance, Job
@@ -79,18 +79,24 @@ from .schedule import Schedule
 from .trace import Trace, TraceKind
 
 from .engine import (
-    _OBS_EVENT_COUNTERS,
-    AdversaryResponse,
+    MAX_EVENTS_DEFAULT,
+    ClairvoyanceGuard,
     JobView,
     SchedulerContext,
     SimulationResult,
+    strict_mode_enabled,
 )
+
+# Submodule imports (not the ``repro.obs`` package facade) so the
+# core <-> obs import cycle stays one-directional at module level:
+# ``repro.obs.explain`` imports ``repro.core.audit``, never the engine.
+from ..obs.runtime import get_recorder as _get_ambient_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.recorder import Recorder
-    from .engine import ClairvoyanceGuard, Simulator
+    from .engine import Adversary, AdversaryResponse
 
-__all__ = ["JobBatch", "JobTable", "TableJobView", "ColumnarCore"]
+__all__ = ["JobBatch", "JobTable", "ColumnarCore"]
 
 # Event-kind ints, hoisted (see repro.core.events.EventKind).
 _COMPLETION = 0
@@ -116,23 +122,19 @@ _HEAPIFY_MIN = 64
 #: heappops for waves that are a sizeable fraction of the heap).
 _SCAN_MIN = 32
 
-# -- core-parity declaration (RL013) ------------------------------------
-# This module is the *columnar* core; its column/list-mirror fields map
-# onto the object core's per-job attributes via the tokens below.  A
-# deliberately one-sided write carries ``# parity: columnar-only``.
-_PARITY_CORE = "columnar"
-_PARITY_PEER = "repro.core.engine"
-#: Physical field -> shared logical token compared against the peer core.
-_PARITY_FIELDS = {
-    "state": "lifecycle",
-    "visible": "visibility",
-    "plen": "length",
-    "plen_list": "length",
-    "start": "start-time",
-    "start_list": "start-time",
-    "_pending": "pending-index",
-    "_running": "running-index",
-}
+#: Per-kind dispatch counters (indexed by the raw event kind int) for the
+#: observability layer; only touched when a recorder is armed.
+_OBS_EVENT_COUNTERS = (
+    "engine.events.completion",  # 0
+    "engine.events.assign",      # 1
+    "engine.events.arrival",     # 2
+    "engine.events.deadline",    # 3
+    "engine.events.timer",       # 4
+    "engine.events.adversary",   # 5
+)
+
+#: The gatherable-kind mask while a recorder is armed: no cohorts.
+_NO_COHORTS = (False,) * 6
 
 _MISSING: Any = object()
 
@@ -153,10 +155,9 @@ class JobBatch:
     """A columnar batch of job releases.
 
     Adversaries (and ``AdversaryResponse.release_batch``) use this to
-    hand the engine whole iterations as arrays.  The columnar core
-    admits the columns directly; the object core calls :meth:`jobs` to
-    materialise equivalent (fully validated) :class:`Job` objects — so
-    a batch-releasing adversary behaves identically on both cores.
+    hand the engine whole iterations as arrays, which it admits column
+    by column; :meth:`jobs` materialises the equivalent (fully
+    validated) :class:`Job` objects.
 
     ``length`` is ``None`` (all adversary-controlled), a scalar
     (broadcast), or an array with NaN marking adversary-controlled
@@ -192,8 +193,8 @@ class JobBatch:
     def jobs(self) -> tuple[Job, ...]:
         """Materialise (and cache) the equivalent ``Job`` objects.
 
-        Uses the validating constructor on purpose: the object core must
-        raise exactly the ``InvalidJobError`` a hand-built release would.
+        Uses the validating constructor on purpose: it raises exactly the
+        ``InvalidJobError`` a hand-built release would.
         """
         if self._jobs is None:
             ids = self.ids.tolist()
@@ -220,8 +221,9 @@ class JobTable:
     Row index = admission order (stable for the whole run); columns grow
     by capacity doubling.  ``length0`` is the length as *released* (NaN
     for adversary-controlled jobs) and ``plen`` the committed length
-    (NaN until assigned); ``visible`` tracks whether the scheduler may
-    read it (clairvoyant-at-release, or completed).
+    (NaN until assigned); ``visible`` (a plain list: it is only ever
+    read one row at a time) tracks whether the scheduler may read it
+    (clairvoyant-at-release, or completed).
     """
 
     __slots__ = (
@@ -258,7 +260,7 @@ class JobTable:
         self.size: _F64 = np.empty(0, dtype=np.float64)
         self.start: _F64 = np.empty(0, dtype=np.float64)
         self.state: NDArray[np.int8] = np.empty(0, dtype=np.int8)
-        self.visible: NDArray[np.bool_] = np.empty(0, dtype=np.bool_)
+        self.visible: list[bool] = []
         # Python mirrors (scalar reads; see module docstring).
         self.ids_list: list[int] = []
         self.arrival_list: list[float] = []
@@ -291,12 +293,15 @@ class JobTable:
             "size",
             "start",
             "state",
-            "visible",
         ):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
+        # Rows past ``n`` wait in the admission state (not started), so
+        # appends write only the released fields.
+        self.start[n:] = math.nan
+        self.state[n:] = _ADMITTED
         self._cap = cap
 
     def _append_common(
@@ -304,12 +309,10 @@ class JobTable:
     ) -> None:
         self.length0[sl] = length
         self.plen[sl] = length
-        self.start[sl] = math.nan
-        self.state[sl] = _ADMITTED
         if clairvoyant:
-            self.visible[sl] = ~np.isnan(length)
+            self.visible.extend((~np.isnan(length)).tolist())
         else:
-            self.visible[sl] = False
+            self.visible.extend([False] * k)
         self.start_list.extend([None] * k)
 
     def append_jobs(
@@ -344,6 +347,39 @@ class JobTable:
         self._jobs.extend(jobs)
         self.n = base + k
         return base
+
+    def append_job(self, job: Job, clairvoyant: bool) -> int:
+        """Append one validated ``Job`` with scalar writes; returns its row.
+
+        The streaming path admits one job per protocol op, where the
+        slice assignments of :meth:`append_jobs` cost more than the
+        writes themselves.  The NumPy writes come first, so a value the
+        columns cannot hold raises before the row is committed.
+        """
+        idx = self.n
+        if idx == self._cap:
+            self._grow(1)
+        jid = job.id
+        length = job.length
+        known = math.nan if length is None else length
+        self.ids[idx] = jid
+        self.arrival[idx] = job.arrival
+        self.deadline[idx] = job.deadline
+        self.length0[idx] = known
+        self.plen[idx] = known
+        self.size[idx] = job.size
+        if self.ids_contiguous and jid != idx:
+            self.ids_contiguous = False
+        self.ids_list.append(jid)
+        self.arrival_list.append(job.arrival)
+        self.deadline_list.append(job.deadline)
+        self.plen_list.append(length)
+        self.visible.append(clairvoyant and length is not None)
+        self.start_list.append(None)
+        self.size_list.append(job.size)
+        self._jobs.append(job)
+        self.n = idx + 1
+        return idx
 
     def append_columns(self, batch: JobBatch, clairvoyant: bool) -> int:
         """Bulk-append a validated :class:`JobBatch`; returns the base row."""
@@ -393,87 +429,9 @@ class JobTable:
             self._jobs[idx] = job
         return job
 
-
-class TableJobView(JobView):
-    """A :class:`JobView` backed by a :class:`JobTable` row.
-
-    Returns Python scalars (mirror lists), enforces the same visibility
-    rule and strict-mode guard as the object core's view.
-    """
-
-    __slots__ = ("_core", "_table", "_idx")
-
-    def __init__(self, core: "ColumnarCore", idx: int) -> None:
-        # No super().__init__: the object-core slots (_job/_state) stay
-        # unset; every accessor below overrides the base property.
-        self._core = core
-        self._table = core._table
-        self._idx = idx
-
-    @property
-    def id(self) -> int:
-        return self._table.ids_list[self._idx]
-
-    @property
-    def arrival(self) -> float:
-        return self._table.arrival_list[self._idx]
-
-    @property
-    def deadline(self) -> float:
-        return self._table.deadline_list[self._idx]
-
-    @property
-    def laxity(self) -> float:
-        i = self._idx
-        t = self._table
-        return t.deadline_list[i] - t.arrival_list[i]
-
-    @property
-    def size(self) -> float:
-        return self._table.size_list[self._idx]
-
-    @property
-    def length(self) -> float:
-        t = self._table
-        i = self._idx
-        if not t.visible[i]:
-            raise ClairvoyanceError(
-                f"job {t.ids_list[i]}: processing length is hidden in the "
-                "non-clairvoyant setting until the job completes"
-            )
-        guard = self._core._guard
-        if guard is not None and t.state[i] != _DONE:
-            guard.record(t.ids_list[i])
-        length = t.plen_list[i]
-        assert length is not None
-        return length
-
-    @property
-    def length_if_known(self) -> float | None:
-        t = self._table
-        i = self._idx
-        return t.plen_list[i] if t.visible[i] else None
-
-    @property
-    def started(self) -> bool:
-        return self._table.start_list[self._idx] is not None
-
-    @property
-    def start_time(self) -> float | None:
-        return self._table.start_list[self._idx]
-
-    @property
-    def completed(self) -> bool:
-        return bool(self._table.state[self._idx] == _DONE)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        t = self._table
-        i = self._idx
-        p: Any = t.plen_list[i] if t.visible[i] else "?"
-        return (
-            f"JobView(id={self.id}, a={self.arrival:g}, d={self.deadline:g}, "
-            f"p={p})"
-        )
+    def done(self, idx: int) -> bool:
+        """Whether the row's job has completed."""
+        return bool(self.state[idx] == _DONE)
 
 
 def _batch_capable(adversary: Any, name: str) -> bool:
@@ -484,17 +442,33 @@ def _batch_capable(adversary: Any, name: str) -> bool:
     return callable(meth) and not getattr(meth, "_repro_fallback", False)
 
 
+def _resolve_hook(scheduler: Any, name: str) -> Any:
+    """A scheduler hook, or ``None`` when absent or an inherited no-op.
+
+    Hooks resolve once per run instead of via getattr per event.
+    Inherited no-op defaults (``OnlineScheduler`` marks them with
+    ``_repro_noop_hook``) resolve to ``None`` so the loop pays no Python
+    call per event for a hook that does nothing — and so it knows a
+    cohort has no per-job callback to honour.
+    """
+    hook = getattr(scheduler, name, None)
+    if hook is None or not callable(hook):
+        return None
+    if getattr(hook, "_repro_noop_hook", False):
+        return None
+    return hook
+
+
 class ColumnarCore:
     """One simulation run over a :class:`JobTable`.
 
-    Constructed by :meth:`Simulator.run` when ``core="columnar"``; it
-    adopts the simulator's scheduler/adversary/trace/recorder/guard and
-    event queue, then executes the run itself.  See the module docstring
-    for the gathering rules and the equivalence contract.
+    Constructed by :class:`~repro.core.engine.Simulator` (whose
+    parameters it takes); see the module docstring for the gathering
+    rules.  A core runs once: either :meth:`run`, or one streaming
+    session from :meth:`start_stream` to :meth:`finish_stream`.
     """
 
     __slots__ = (
-        "_sim",
         "_scheduler",
         "_scheduler_name",
         "_instance",
@@ -513,6 +487,8 @@ class ColumnarCore:
         "_events_processed",
         "_heap_peak",
         "_ctx",
+        "_started",
+        "_streaming",
         "_hook_arrival",
         "_hook_deadline",
         "_hook_completion",
@@ -520,26 +496,54 @@ class ColumnarCore:
         "_adv_start_batch",
         "_adv_completion_batch",
         "_adv_assign_batch",
+        "_handlers",
+        "_gatherable",
     )
 
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-        self._scheduler = sim._scheduler
-        self._scheduler_name = type(sim._scheduler).__name__
-        self._instance = sim._instance
-        self._adversary: Any = sim._adversary
-        self._clairvoyant = sim._clairvoyant
-        self._max_events = sim._max_events
-        self._trace: Trace | None = sim._trace
-        self._obs: "Recorder | None" = sim._obs
-        self._guard: "ClairvoyanceGuard | None" = sim._guard
-        if self._guard is not None:
-            # Repoint the oracle at this core so its access log and obs
-            # records read the live clock.
-            self._guard._sim = self
-        self._queue: EventQueue = sim._queue
+    def __init__(
+        self,
+        scheduler: Any,
+        *,
+        instance: Instance | None = None,
+        adversary: "Adversary | None" = None,
+        clairvoyant: bool = False,
+        max_events: int = MAX_EVENTS_DEFAULT,
+        trace: bool = False,
+        strict: bool | None = None,
+        recorder: "Recorder | None" = None,
+    ) -> None:
+        if (instance is None) == (adversary is None):
+            raise SimulationError(
+                "provide exactly one of instance= or adversary="
+            )
+        self._scheduler = scheduler
+        self._scheduler_name = type(scheduler).__name__
+        self._instance = instance
+        self._adversary: Any = adversary
+        self._clairvoyant = clairvoyant
+        self._max_events = max_events
+        if strict is None:
+            strict = strict_mode_enabled()
+
+        # Observability: resolve the recorder (explicit > ambient), then
+        # collapse "disabled" to None so the hot loop tests one local.
+        if recorder is None:
+            recorder = _get_ambient_recorder()
+        self._obs: "Recorder | None" = recorder if recorder.enabled else None
+        if self._obs is not None and hasattr(scheduler, "obs"):
+            # Arm the scheduler's decision-provenance channel.
+            scheduler.obs = self._obs
+
+        self._guard: ClairvoyanceGuard | None = None
+        if strict and not getattr(
+            type(scheduler), "requires_clairvoyance", False
+        ):
+            self._guard = ClairvoyanceGuard(self, self._scheduler_name)
+
+        self._trace: Trace | None = Trace() if trace else None
+        self._queue = EventQueue()
         self._table = JobTable()
-        self._views: list[TableJobView | None] = []
+        self._views: list[JobView | None] = []
         #: Incremental indexes (row index -> None) behind ctx.pending()/
         #: ctx.running(); dicts for O(1) removal with stable order.
         self._pending: dict[int, None] = {}
@@ -548,73 +552,22 @@ class ColumnarCore:
         self._events_processed = 0
         self._heap_peak = 0
         self._ctx = SchedulerContext(self)
-        self._hook_arrival = sim._hook_arrival
-        self._hook_deadline = sim._hook_deadline
-        self._hook_completion = sim._hook_completion
-        self._hook_timer = sim._hook_timer
-        adv = self._adversary
+        self._started = False
+        self._streaming = False
+        self._hook_arrival = _resolve_hook(scheduler, "on_arrival")
+        self._hook_deadline = _resolve_hook(scheduler, "on_deadline")
+        self._hook_completion = _resolve_hook(scheduler, "on_completion")
+        self._hook_timer = _resolve_hook(scheduler, "on_timer")
         # Capability probes — resolved *before* any gathering, because a
         # gathered cohort cannot be pushed back onto the heap.
-        self._adv_start_batch = _batch_capable(adv, "on_start_batch")
-        self._adv_completion_batch = _batch_capable(adv, "on_completion_batch")
-        self._adv_assign_batch = _batch_capable(adv, "assign_lengths_batch")
-
-    # ------------------------------------------------------------------ run
-    def run(self) -> SimulationResult:
-        obs = self._obs
-        adversary = self._adversary
-        if self._instance is not None:
-            self._admit_jobs(list(self._instance.jobs))
-        else:
-            assert adversary is not None
-            batch: JobBatch | None = None
-            initial_batch = getattr(adversary, "initial_batch", None)
-            if callable(initial_batch):
-                batch = initial_batch()
-            if batch is not None:
-                self._admit_batch_cols(batch)
-            else:
-                self._admit_jobs(list(adversary.initial_jobs()))
-        n_initial = self._table.n
-
-        setup = getattr(self._scheduler, "setup", None)
-        if callable(setup):
-            setup(self._ctx)
-
-        if obs is not None:
-            obs.instant(
-                "engine.run_begin",
-                scheduler=self._scheduler_name,
-                clairvoyant=self._clairvoyant,
-                adversarial=adversary is not None,
-                initial_jobs=n_initial,
-            )
-        try:
-            if obs is not None:
-                with obs.span("engine.dispatch"):
-                    self._run_armed()
-            else:
-                self._run_fast()
-        finally:
-            if obs is not None:
-                obs.counter_add(
-                    "engine.events_processed", self._events_processed
-                )
-                obs.counter_add("engine.heap.pushes", self._queue._seq)
-                obs.gauge_set("engine.heap.peak", float(self._heap_peak))
-        return self._finish()
-
-    def _budget_error(self) -> SimulationError:
-        return SimulationError(
-            f"event budget exceeded ({self._max_events}); "
-            "likely a scheduler/adversary live-lock"
+        self._adv_start_batch = _batch_capable(adversary, "on_start_batch")
+        self._adv_completion_batch = _batch_capable(
+            adversary, "on_completion_batch"
         )
-
-    def _run_fast(self) -> None:
-        """The gathering hot loop (recorder disarmed)."""
-        heap = self._queue._heap
-        max_events = self._max_events
-        handlers: tuple[Callable[[Any], None], ...] = (
+        self._adv_assign_batch = _batch_capable(
+            adversary, "assign_lengths_batch"
+        )
+        self._handlers: tuple[Callable[[Any], None], ...] = (
             self._handle_completion,  # 0 COMPLETION
             self._handle_assign,      # 1 ASSIGN
             self._handle_arrival,     # 2 ARRIVAL
@@ -623,7 +576,7 @@ class ColumnarCore:
             self._handle_adversary,   # 5 ADVERSARY
         )
         # Which kinds may be taken as cohorts (see module docstring).
-        gatherable = (
+        self._gatherable = (
             True,                        # COMPLETION
             self._adv_assign_batch,      # ASSIGN
             self._hook_arrival is None,  # ARRIVAL
@@ -631,9 +584,153 @@ class ColumnarCore:
             False,                       # TIMER
             False,                       # ADVERSARY
         )
-        processed = self._events_processed
+
+    # ------------------------------------------------------------------ run
+    def run(self) -> SimulationResult:
+        """Admit the initial jobs, drain the event loop, build the result."""
+        self._begin(streaming=False)
+        obs = self._obs
+        if obs is None:
+            self._dispatch(None, True)
+            return self._finish()
+        try:
+            with obs.span("engine.dispatch"):
+                self._dispatch(None, True)
+        finally:
+            obs.counter_add("engine.events_processed", self._events_processed)
+            obs.counter_add("engine.heap.pushes", self._queue._seq)
+            obs.gauge_set("engine.heap.peak", float(self._heap_peak))
+        return self._finish()
+
+    def _begin(self, *, streaming: bool) -> None:
+        """Admit the initial jobs and call the scheduler's ``setup``."""
+        if self._started:
+            raise SimulationError("a Simulator instance can only run once")
+        self._started = True
+        adversary = self._adversary
+        if self._instance is not None:
+            self._admit_jobs(list(self._instance.jobs))
+        else:
+            batch: JobBatch | None = None
+            initial_batch = getattr(adversary, "initial_batch", None)
+            if callable(initial_batch):
+                batch = initial_batch()
+            if batch is not None:
+                self._admit_batch_cols(batch)
+            else:
+                self._admit_jobs(list(adversary.initial_jobs()))
+
+        setup = getattr(self._scheduler, "setup", None)
+        if callable(setup):
+            setup(self._ctx)
+
+        obs = self._obs
+        if obs is not None:
+            attrs: dict[str, Any] = {
+                "scheduler": self._scheduler_name,
+                "clairvoyant": self._clairvoyant,
+                "adversarial": adversary is not None,
+                "initial_jobs": self._table.n,
+            }
+            if streaming:
+                attrs["streaming"] = True
+            obs.instant("engine.run_begin", **attrs)
+
+    # ------------------------------------------------------------ streaming
+    def start_stream(self) -> None:
+        """Begin a streaming session (see ``Simulator.start_stream``)."""
+        if self._started:
+            raise SimulationError("a Simulator instance can only run once")
+        if self._adversary is not None:
+            raise SimulationError(
+                "streaming sessions do not support adversaries"
+            )
+        self._begin(streaming=True)
+        self._streaming = True
+
+    def feed(self, jobs: "Iterable[Job]") -> int:
+        """Admit newly arrived jobs mid-stream; returns how many."""
+        if not self._streaming:
+            raise SimulationError(
+                "feed() requires an active start_stream() session"
+            )
+        batch = list(jobs)
+        if len(batch) == 1:
+            self._admit_job(batch[0])
+        elif batch:
+            self._admit_jobs(batch)
+        return len(batch)
+
+    def advance(self, until: float | None = None, *, inclusive: bool = True) -> int:
+        """Dispatch queued events up to ``until``; returns the count."""
+        if not self._streaming:
+            raise SimulationError(
+                "advance() requires an active start_stream() session"
+            )
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"advance({until}) is in the past (now={self._now})"
+            )
+        dispatched = self._dispatch(until, inclusive)
+        if until is not None and until > self._now:
+            self._now = until
+        return dispatched
+
+    def finish_stream(self) -> SimulationResult:
+        """Drain the queue and build the result, ending the session."""
+        if not self._streaming:
+            raise SimulationError(
+                "finish_stream() requires an active start_stream() session"
+            )
+        self._dispatch(None, True)
+        self._streaming = False
+        obs = self._obs
+        if obs is not None:
+            obs.counter_add("engine.events_processed", self._events_processed)
+            obs.counter_add("engine.heap.pushes", self._queue._seq)
+        return self._finish()
+
+    # ----------------------------------------------------------- event loop
+    def _budget_error(self) -> SimulationError:
+        return SimulationError(
+            f"event budget exceeded ({self._max_events}); "
+            "likely a scheduler/adversary live-lock"
+        )
+
+    def _dispatch(self, until: float | None, inclusive: bool) -> int:
+        """Dispatch queued events up to a horizon; returns the count.
+
+        ``until=None`` drains the queue.  Otherwise events at times
+        ``<= until`` (``< until`` when not ``inclusive``) dispatch.
+        Locals are hoisted and events popped as raw tuples: at >10^5
+        events per adversarial run, attribute lookups dominate otherwise.
+        Disarmed, the loop gathers cohorts; armed, it dispatches every
+        event singly and keeps per-kind counters (plus, in a batch run,
+        the heap high-water mark; ``python -m repro obs overhead``
+        ratchets the cost of the ``obs`` tests).
+        """
+        heap = self._queue._heap
+        obs = self._obs
+        handlers = self._handlers
+        gatherable = self._gatherable if obs is None else _NO_COHORTS
+        max_events = self._max_events
+        if until is None:
+            horizon = math.inf
+        elif inclusive:
+            horizon = until
+        else:
+            # t < until  <=>  t <= the float just below until.
+            horizon = math.nextafter(until, -math.inf)
+        processed = first = self._events_processed
+        # Only a batch run reports the heap high-water mark.
+        track_peak = obs is not None and not self._streaming
+        heap_peak = self._heap_peak
         try:
             while heap:
+                if heap[0][0] > horizon:
+                    break
+                if track_peak and len(heap) > heap_peak:
+                    heap_peak = len(heap)
                 time, kind, _seq, payload = heappop(heap)
                 processed += 1
                 if processed > max_events:
@@ -671,50 +768,13 @@ class ColumnarCore:
                         if processed > max_events:
                             raise self._budget_error()
                     continue
-                handlers[kind](payload)
-        finally:
-            self._events_processed = processed
-
-    def _run_armed(self) -> None:
-        """Scalar mirror of the object core's armed loop (no gathering).
-
-        Gathering changes heap push/pop mechanics, which the armed loop
-        surfaces (per-kind counters, ``heap.pushes``, ``heap.peak``) —
-        so with a recorder armed every event goes the scalar route and
-        the obs output stays bit-identical to the object core.
-        """
-        obs = self._obs
-        assert obs is not None
-        heap = self._queue._heap
-        max_events = self._max_events
-        handlers: tuple[Callable[[Any], None], ...] = (
-            self._handle_completion,
-            self._handle_assign,
-            self._handle_arrival,
-            self._handle_deadline,
-            self._handle_timer,
-            self._handle_adversary,
-        )
-        processed = self._events_processed
-        heap_peak = len(heap)
-        try:
-            while heap:
-                if len(heap) > heap_peak:
-                    heap_peak = len(heap)
-                time, kind, _seq, payload = heappop(heap)
-                processed += 1
-                if processed > max_events:
-                    raise self._budget_error()
-                if time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
-                    )
-                self._now = time
-                obs.counter_add(_OBS_EVENT_COUNTERS[kind])
+                if obs is not None:
+                    obs.counter_add(_OBS_EVENT_COUNTERS[kind])
                 handlers[kind](payload)
         finally:
             self._events_processed = processed
             self._heap_peak = heap_peak
+        return processed - first
 
     # ------------------------------------------------------- event helpers
     def _gather_scan(
@@ -760,77 +820,98 @@ class ColumnarCore:
             heapify(heap)
 
     # ---------------------------------------------------------- admission
-    def _admit_jobs(self, jobs: Sequence[Job], single: bool = False) -> None:
-        """Admit validated ``Job`` objects (object-style releases)."""
+    def _admit_jobs(self, jobs: Sequence[Job]) -> None:
+        """Admit validated ``Job`` objects in bulk."""
         obs = self._obs
-        if obs is not None and not single:
+        if obs is not None:
             with obs.span("engine.admit_batch", n=len(jobs)):
                 self._admit_jobs_inner(jobs)
             obs.counter_add("engine.jobs_admitted", float(len(jobs)))
             return
         self._admit_jobs_inner(jobs)
-        if obs is not None:
-            obs.counter_add("engine.jobs_admitted")
 
     def _admit_jobs_inner(self, jobs: Sequence[Job]) -> None:
         table = self._table
-        now = self._now
-        adversary = self._adversary
-        clairvoyant = self._clairvoyant
-        idx_of = table.idx_of
-        trace = self._trace
-        obs = self._obs
         base = table.n
-        # Admission checks in the object core's per-job order; each job
-        # registers before the next is checked (intra-batch duplicates).
-        offset = 0
-        for job in jobs:
-            jid = job.id
-            if jid in idx_of:
-                raise SimulationError(f"duplicate job id {jid} admitted")
-            if job.arrival < now:
-                raise SimulationError(
-                    f"job {jid} released with arrival {job.arrival} in the "
-                    f"past (now={now})"
-                )
-            if job.length is None:
-                if adversary is None:
-                    raise SimulationError(
-                        f"job {jid} has no length and no adversary to "
-                        "assign one"
-                    )
-                if clairvoyant:
-                    raise SimulationError(
-                        "adversary-controlled lengths are incompatible with "
-                        "the clairvoyant information model"
-                    )
-            idx_of[jid] = base + offset
-            offset += 1
-            if trace is not None:
-                trace.append(
-                    now, TraceKind.RELEASE, jid, f"arrival={job.arrival:g}"
-                )
-            if obs is not None:
-                if job.length is not None:
-                    obs.instant(
-                        "engine.release",
-                        t=now,
-                        job=jid,
-                        arrival=job.arrival,
-                        deadline=job.deadline,
-                        length=job.length,
-                    )
-                else:
-                    obs.instant(
-                        "engine.release",
-                        t=now,
-                        job=jid,
-                        arrival=job.arrival,
-                        deadline=job.deadline,
-                    )
-        table.append_jobs(jobs, clairvoyant)
+        # Each job registers before the next is checked (intra-batch
+        # duplicates raise on the second copy).
+        for off, job in enumerate(jobs):
+            self._check_admission(job)
+            self._record_release(job, base + off)
+        table.append_jobs(jobs, self._clairvoyant)
         self._views.extend([None] * len(jobs))
         self._push_arrivals(base, len(jobs))
+
+    def _admit_job(self, job: Job) -> None:
+        """Admit one job: a scalar row append plus one heap push.
+
+        The streaming path (one job per ``feed``) and single adversary
+        releases come here; same checks, records and event order as a
+        one-job :meth:`_admit_jobs`, without its slice assignments.
+        """
+        self._check_admission(job)
+        table = self._table
+        try:
+            idx = table.append_job(job, self._clairvoyant)
+        except OverflowError:
+            raise SimulationError(
+                f"job id {job.id} does not fit the engine's int64 id column"
+            ) from None
+        self._record_release(job, idx)
+        self._views.append(None)
+        self._queue.push(job.arrival, _ARRIVAL, idx)
+        if self._obs is not None:
+            self._obs.counter_add("engine.jobs_admitted")
+
+    def _check_admission(self, job: Job) -> None:
+        """Admission checks in order: duplicate id, past arrival, length."""
+        jid = job.id
+        if jid in self._table.idx_of:
+            raise SimulationError(f"duplicate job id {jid} admitted")
+        if job.arrival < self._now:
+            raise SimulationError(
+                f"job {jid} released with arrival {job.arrival} in the "
+                f"past (now={self._now})"
+            )
+        if job.length is None:
+            if self._adversary is None:
+                raise SimulationError(
+                    f"job {jid} has no length and no adversary to assign one"
+                )
+            if self._clairvoyant:
+                raise SimulationError(
+                    "adversary-controlled lengths are incompatible with "
+                    "the clairvoyant information model"
+                )
+
+    def _record_release(self, job: Job, idx: int) -> None:
+        """Map the job's id to its row; emit its RELEASE trace and obs record."""
+        jid = job.id
+        self._table.idx_of[jid] = idx
+        now = self._now
+        if self._trace is not None:
+            self._trace.append(
+                now, TraceKind.RELEASE, jid, f"arrival={job.arrival:g}"
+            )
+        obs = self._obs
+        if obs is not None:
+            if job.length is not None:
+                obs.instant(
+                    "engine.release",
+                    t=now,
+                    job=jid,
+                    arrival=job.arrival,
+                    deadline=job.deadline,
+                    length=job.length,
+                )
+            else:
+                obs.instant(
+                    "engine.release",
+                    t=now,
+                    job=jid,
+                    arrival=job.arrival,
+                    deadline=job.deadline,
+                )
 
     def _admit_batch_cols(self, batch: JobBatch) -> None:
         """Admit a columnar :class:`JobBatch` (vectorised checks)."""
@@ -854,9 +935,9 @@ class ColumnarCore:
         length = batch.length
         size = batch.size
         unknown = np.isnan(length)
-        # Job-validity checks — the vector mirror of Job.__post_init__
-        # (the object core runs those in JobBatch.jobs()).  On failure,
-        # constructing the first offending Job raises the exact error.
+        # Job-validity checks — the vector mirror of Job.__post_init__.
+        # On failure, constructing the first offending Job raises the
+        # exact error a hand-built release would.
         invalid = (
             (ids < 0)
             | ~np.isfinite(arrival)
@@ -880,9 +961,9 @@ class ColumnarCore:
             raise SimulationError(  # pragma: no cover - Job() raised above
                 "JobBatch validation failed"
             )
-        # Admission checks, object per-job order: duplicate id, then
-        # past arrival, then unknown-length rules — the raise must name
-        # the *first* job that fails *any* check.
+        # Admission checks in _check_admission's per-job order: duplicate
+        # id, then past arrival, then unknown-length rules — the raise
+        # must name the *first* job that fails *any* check.
         early = arrival < now
         if self._adversary is None or self._clairvoyant:
             length_bad = unknown
@@ -965,7 +1046,8 @@ class ColumnarCore:
         self._push_raw(items)
 
     # ------------------------------------------------------ scalar handlers
-    # Exact mirrors of the object core's handlers, over table rows.
+    # One event each, over table rows; the cohort handlers below must
+    # match their effect on every row of a cohort.
     def _handle_arrival(self, idx: int) -> None:
         table = self._table
         table.state[idx] = _PENDING
@@ -998,11 +1080,10 @@ class ColumnarCore:
     def _handle_completion(self, idx: int) -> None:
         table = self._table
         jid = table.ids_list[idx]
-        if table.state[idx] == _DONE:  # pragma: no cover - defensive
+        if self._running.pop(idx, _MISSING) is _MISSING:  # pragma: no cover
             raise SimulationError(f"job {jid} completed twice")
         table.state[idx] = _DONE
         table.visible[idx] = True  # completion reveals the length
-        self._running.pop(idx, None)
         if self._trace is not None:
             self._trace.append(self._now, TraceKind.COMPLETION, jid, "")
         if self._obs is not None:
@@ -1122,9 +1203,10 @@ class ColumnarCore:
         table = self._table
         rows = np.fromiter(cohort, np.int64, len(cohort))
         table.state[rows] = _DONE
-        table.visible[rows] = True
+        visible = table.visible
         running = self._running
         for idx in cohort:
+            visible[idx] = True
             running.pop(idx, None)
         if self._trace is not None:
             append = self._trace.append
@@ -1139,8 +1221,8 @@ class ColumnarCore:
         Returns the number of *same-time completions consumed inline*
         (``completion == now``; the §3.1 shape).  Those never touch the
         heap but count as processed events — the caller adds the return
-        value to its counter, so ``events_processed`` matches the object
-        core, which pops each of them individually.
+        value to its counter, so ``events_processed`` matches single
+        dispatch, which pops each of them individually.
         """
         adversary = self._adversary
         assert adversary is not None
@@ -1231,7 +1313,7 @@ class ColumnarCore:
                 if resp is not None:
                     self._apply_adversary_response(resp)
                 return len(same_rows)
-        # Interleaved fallback — the exact object order: each assign is
+        # Interleaved fallback — the single-dispatch order: each assign is
         # followed immediately by its same-time completion (a pushed
         # (t, COMPLETION) pops before the next (t, ASSIGN) would have).
         consumed = 0
@@ -1251,10 +1333,10 @@ class ColumnarCore:
     def _assign_scalar_cohort(self, cohort: list[int]) -> int:
         """Scalar fallback for a gathered assign cohort.
 
-        Mirrors the object core exactly: assign job i, then (if its
+        Matches single dispatch exactly: assign job i, then (if its
         completion lands *now*) process that completion before the next
-        assign — because in the object heap a ``(t, COMPLETION)`` push
-        outranks the remaining ``(t, ASSIGN)`` entries.
+        assign — because in the heap a ``(t, COMPLETION)`` push outranks
+        the remaining ``(t, ASSIGN)`` entries.
         """
         adversary = self._adversary
         assert adversary is not None
@@ -1280,11 +1362,12 @@ class ColumnarCore:
         idx = table.idx_of.get(job_id)
         if idx is None:
             raise SchedulingViolationError(f"unknown job id {job_id}")
-        if table.state[idx] == _ADMITTED:
-            raise SchedulingViolationError(
-                f"job {job_id} has not arrived yet (now={self._now})"
-            )
-        if table.start_list[idx] is not None:
+        pending = self._pending
+        if idx not in pending:  # admitted (not yet arrived) or started
+            if table.start_list[idx] is None:
+                raise SchedulingViolationError(
+                    f"job {job_id} has not arrived yet (now={self._now})"
+                )
             raise SchedulingViolationError(
                 f"job {job_id} was already started"
             )
@@ -1295,10 +1378,10 @@ class ColumnarCore:
                 f"job {job_id} started at {now}, after its starting "
                 f"deadline {deadline}"
             )
-        table.state[idx] = _RUNNING  # parity: columnar-only
+        table.state[idx] = _RUNNING
         table.start[idx] = now
         table.start_list[idx] = now
-        self._pending.pop(idx, None)
+        del pending[idx]
         self._running[idx] = None
         if self._trace is not None:
             self._trace.append(now, TraceKind.START, job_id, "")
@@ -1359,8 +1442,8 @@ class ColumnarCore:
             table.deadline[safe] < now
         )
         if bool(bad.any()):
-            # Re-run the object core's checks on the first offender so
-            # the exception (type and message) is identical.
+            # Re-run _start_job's checks on the first offender so the
+            # exception (type and message) is identical.
             pos = int(np.argmax(bad))
             jid = job_ids[pos]
             idx = rows_l[pos]
@@ -1387,7 +1470,7 @@ class ColumnarCore:
                 raise SchedulingViolationError(
                     f"job {job_ids[pos]} was already started"
                 )
-        table.state[rows] = _RUNNING  # parity: columnar-only
+        table.state[rows] = _RUNNING
         table.start[rows] = now
         start_l = table.start_list
         running = self._running
@@ -1399,7 +1482,7 @@ class ColumnarCore:
             for jid in job_ids:
                 append(now, TraceKind.START, jid, "")
         # Completion events for known lengths, ASSIGN events otherwise —
-        # pushed in job order, exactly the object core's seq order.
+        # pushed in job order, exactly _start_job's seq order.
         plens = table.plen[rows]
         known = ~np.isnan(plens)
         queue = self._queue
@@ -1505,7 +1588,7 @@ class ColumnarCore:
             self._admit_jobs(list(release))
         else:
             for job in release:
-                self._admit_jobs([job], single=True)
+                self._admit_job(job)
         if resp.release_batch is not None:
             self._admit_batch_cols(resp.release_batch)
         if resp.wakeup is not None:
@@ -1517,11 +1600,11 @@ class ColumnarCore:
             self._queue.push(resp.wakeup, _ADVERSARY, None)
 
     # ------------------------------------------------------ context backend
-    def _view(self, idx: int) -> TableJobView:
+    def _view(self, idx: int) -> JobView:
         views = self._views
         view = views[idx]
         if view is None:
-            view = TableJobView(self, idx)
+            view = JobView(self, idx)
             views[idx] = view
         return view
 
@@ -1555,7 +1638,7 @@ class ColumnarCore:
     def _is_completed(self, job_id: int) -> bool:
         table = self._table
         idx = table.idx_of.get(job_id)
-        return idx is not None and bool(table.state[idx] == _DONE)
+        return idx is not None and table.done(idx)
 
     # ------------------------------------------------------------ finish
     def _finish(self) -> SimulationResult:

@@ -52,25 +52,19 @@ cross-validates the static RL001 rule in :mod:`repro.lint`: both must
 agree on any scheduler, and the lint test suite checks them against each
 other on shared fixtures.
 
-Engine cores
-------------
-The simulator has two interchangeable cores selected by
-``Simulator(..., core=...)`` (or ``REPRO_ENGINE_CORE``):
-
-* ``"columnar"`` (default) — the struct-of-arrays hot path in
-  :mod:`repro.core.columnar`: per-job state lives in a
-  :class:`~repro.core.columnar.JobTable` of NumPy columns, events carry
-  integer row indexes, and same-time event cohorts are dispatched as
-  array operations.  ``Job``/:class:`JobView` objects are materialised
-  lazily at the API boundary.
-* ``"object"`` — the reference implementation below: one ``_JobState``
-  per job, scalar dispatch.  It defines the semantics; the columnar core
-  must reproduce its traces, schedules and observability output
-  bit-for-bit (enforced by ``tests/test_engine_equivalence.py``).
-
-Both cores serve the same :class:`SchedulerContext`, so schedulers are
-core-agnostic; batch-family schedulers additionally use
-``ctx.pending_ids()``/``ctx.start_batch()`` which the columnar core
+Engine core and streaming
+-------------------------
+One core runs every simulation: the struct-of-arrays
+:class:`~repro.core.columnar.ColumnarCore`.  Per-job state lives in a
+:class:`~repro.core.columnar.JobTable` of NumPy columns, events carry
+integer row indexes, and same-time event cohorts are dispatched as array
+operations.  ``Job`` and :class:`JobView` objects are materialised
+lazily at the API boundary.  :class:`Simulator` is the public façade
+over it: :meth:`Simulator.run` drains the event queue in one call, while
+:meth:`~Simulator.start_stream`, :meth:`~Simulator.feed`,
+:meth:`~Simulator.advance` and :meth:`~Simulator.finish_stream` drive the
+same loop incrementally for ``repro serve``.  Batch-family schedulers
+use ``ctx.pending_ids()``/``ctx.start_batch()``, which the core
 vectorises.
 """
 
@@ -88,31 +82,22 @@ from typing import (
     runtime_checkable,
 )
 
-from heapq import heappop
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .columnar import JobBatch
+    from ..obs.recorder import Recorder
+    from .columnar import ColumnarCore, JobBatch, JobTable
 
 from .errors import (
     ClairvoyanceError,
-    DeadlineMissedError,
     SchedulingViolationError,
     SimulationError,
 )
-from .events import EventKind, EventQueue
+from .events import EventKind
 from .job import Instance, Job
 from .schedule import Schedule
-from .trace import Trace, TraceKind
-
-# Submodule imports (not the ``repro.obs`` package facade) so the
-# engine <-> obs import cycle stays one-directional at module level:
-# ``repro.obs.explain`` imports ``repro.core.audit``, never the engine.
-from ..obs.recorder import Recorder
-from ..obs.runtime import get_recorder as _get_ambient_recorder
+from .trace import Trace
 
 __all__ = [
     "ClairvoyanceGuard",
-    "EngineCore",
     "JobView",
     "SchedulerContext",
     "AdversaryResponse",
@@ -126,44 +111,6 @@ __all__ = [
 #: Hard cap on processed events, guarding against runaway scheduler/adversary
 #: interactions (e.g. a timer loop that never advances time).
 MAX_EVENTS_DEFAULT = 10_000_000
-
-# Integer event-kind constants, hoisted for the hot dispatch loop (an
-# IntEnum attribute access per event is measurable at 10^5+ events/run).
-_COMPLETION = int(EventKind.COMPLETION)
-_ASSIGN = int(EventKind.ASSIGN)
-_ARRIVAL = int(EventKind.ARRIVAL)
-_DEADLINE = int(EventKind.DEADLINE)
-_TIMER = int(EventKind.TIMER)
-_ADVERSARY = int(EventKind.ADVERSARY)
-
-# -- core-parity declaration (RL013) ------------------------------------
-# This module is the *object* core of the dual-core engine; the columnar
-# core must mirror every state transition below up to the field map.  A
-# deliberately one-sided write carries a ``# parity: object-only``
-# annotation on its line.
-_PARITY_CORE = "object"
-_PARITY_PEER = "repro.core.columnar"
-#: Physical field -> shared logical token compared against the peer core.
-_PARITY_FIELDS = {
-    "arrived": "lifecycle",
-    "completed": "lifecycle",
-    "length_visible": "visibility",
-    "length": "length",
-    "start": "start-time",
-    "_pending": "pending-index",
-    "_running": "running-index",
-}
-
-#: Per-kind dispatch counters (indexed by the raw event kind int) for the
-#: observability layer; only touched when a recorder is armed.
-_OBS_EVENT_COUNTERS = (
-    "engine.events.completion",  # 0
-    "engine.events.assign",      # 1
-    "engine.events.arrival",     # 2
-    "engine.events.deadline",    # 3
-    "engine.events.timer",       # 4
-    "engine.events.adversary",   # 5
-)
 
 
 def strict_mode_enabled() -> bool:
@@ -179,8 +126,8 @@ def strict_mode_enabled() -> bool:
 class ClairvoyanceGuard:
     """Runtime oracle for the non-clairvoyant information model.
 
-    Attached to every job state when a :class:`Simulator` runs in strict
-    mode with a scheduler declaring ``requires_clairvoyance = False``.
+    Armed when a :class:`Simulator` runs in strict mode with a scheduler
+    declaring ``requires_clairvoyance = False``.
     Any ``JobView.length`` read before the job completes is recorded in
     :attr:`accesses` as ``(job_id, time)`` and then rejected with
     :class:`ClairvoyanceError` — the dynamic twin of the static RL001
@@ -189,11 +136,10 @@ class ClairvoyanceGuard:
 
     __slots__ = ("accesses", "scheduler_name", "_sim")
 
-    def __init__(self, sim: Any, scheduler_name: str) -> None:
+    def __init__(self, sim: "ColumnarCore", scheduler_name: str) -> None:
         self.accesses: list[tuple[int, float]] = []
         self.scheduler_name = scheduler_name
-        #: The active engine core (``Simulator`` or ``ColumnarCore``) —
-        #: only ``_now`` and ``_obs`` are read off it.
+        #: The engine core — only ``_now`` and ``_obs`` are read off it.
         self._sim = sim
 
     def record(self, job_id: int) -> None:
@@ -216,40 +162,44 @@ class ClairvoyanceGuard:
 
 
 class JobView:
-    """The scheduler-facing view of a job.
+    """The scheduler-facing view of a job: one :class:`JobTable` row.
 
     Exposes arrival, starting deadline and laxity unconditionally; the
     processing length only when the information model permits (always in
-    clairvoyant mode, after completion otherwise).
+    clairvoyant mode, after completion otherwise).  Scalars come from the
+    table's Python list mirrors, so every property returns plain floats.
     """
 
-    __slots__ = ("_job", "_state")
+    __slots__ = ("_core", "_table", "_idx")
 
-    def __init__(self, job: Job, state: "_JobState") -> None:
-        self._job = job
-        self._state = state
+    def __init__(self, core: "ColumnarCore", idx: int) -> None:
+        self._core = core
+        self._table: "JobTable" = core._table
+        self._idx = idx
 
     @property
     def id(self) -> int:
-        return self._job.id
+        return self._table.ids_list[self._idx]
 
     @property
     def arrival(self) -> float:
-        return self._job.arrival
+        return self._table.arrival_list[self._idx]
 
     @property
     def deadline(self) -> float:
         """The starting deadline ``d(J)`` (latest permissible start)."""
-        return self._job.deadline
+        return self._table.deadline_list[self._idx]
 
     @property
     def laxity(self) -> float:
-        return self._job.deadline - self._job.arrival
+        i = self._idx
+        t = self._table
+        return t.deadline_list[i] - t.arrival_list[i]
 
     @property
     def size(self) -> float:
         """Resource demand (DBP extension); always visible."""
-        return self._job.size
+        return self._table.size_list[self._idx]
 
     @property
     def length(self) -> float:
@@ -260,75 +210,47 @@ class JobView:
         recorded and rejected even when the run is clairvoyant — see
         :class:`ClairvoyanceGuard`.
         """
-        st = self._state
-        if not st.length_visible:
+        t = self._table
+        i = self._idx
+        if not t.visible[i]:
             raise ClairvoyanceError(
-                f"job {self._job.id}: processing length is hidden in the "
+                f"job {t.ids_list[i]}: processing length is hidden in the "
                 "non-clairvoyant setting until the job completes"
             )
-        guard = st.guard
-        if guard is not None and not st.completed:
-            guard.record(self._job.id)
-        assert st.length is not None
-        return st.length
+        guard = self._core._guard
+        if guard is not None and not t.done(i):
+            guard.record(t.ids_list[i])
+        length = t.plen_list[i]
+        assert length is not None
+        return length
 
     @property
     def length_if_known(self) -> float | None:
         """``p(J)`` when visible, else ``None`` (no exception)."""
-        return self._state.length if self._state.length_visible else None
+        t = self._table
+        i = self._idx
+        return t.plen_list[i] if t.visible[i] else None
 
     @property
     def started(self) -> bool:
-        return self._state.start is not None
+        return self._table.start_list[self._idx] is not None
 
     @property
     def start_time(self) -> float | None:
-        return self._state.start
+        return self._table.start_list[self._idx]
 
     @property
     def completed(self) -> bool:
-        return self._state.completed
+        return self._table.done(self._idx)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        p = self._state.length if self._state.length_visible else "?"
+        t = self._table
+        i = self._idx
+        p: Any = t.plen_list[i] if t.visible[i] else "?"
         return (
             f"JobView(id={self.id}, a={self.arrival:g}, d={self.deadline:g}, "
             f"p={p})"
         )
-
-
-class _JobState:
-    """Engine-internal per-job bookkeeping.
-
-    A plain ``__slots__`` class (not a dataclass): one is allocated per
-    job and the §3.1 adversarial macro runs create tens of thousands,
-    so construction cost and attribute access are on the hot path.  The
-    scheduler-facing :class:`JobView` is allocated once here and reused
-    for every hook call on the job.
-    """
-
-    __slots__ = (
-        "job",
-        "length",
-        "length_visible",
-        "arrived",
-        "start",
-        "completion",
-        "completed",
-        "view",
-        "guard",
-    )
-
-    def __init__(self, job: Job, guard: ClairvoyanceGuard | None = None) -> None:
-        self.job = job
-        self.length: float | None = None  # committed processing length
-        self.length_visible = False  # may the scheduler read it?
-        self.arrived = False
-        self.start: float | None = None
-        self.completion: float | None = None
-        self.completed = False
-        self.guard = guard  # strict-mode clairvoyance oracle (or None)
-        self.view = JobView(job, self)
 
 
 @dataclass(frozen=True)
@@ -345,10 +267,8 @@ class AdversaryResponse:
         ``None``.
     release_batch:
         A columnar :class:`~repro.core.columnar.JobBatch` of new jobs —
-        the vector-friendly sibling of ``release``.  The columnar core
-        admits the arrays directly; the object core materialises
-        equivalent :class:`Job` objects via ``JobBatch.jobs()``.  When
-        both fields are set, ``release`` is admitted first.
+        the vector-friendly sibling of ``release``, admitted as arrays.
+        When both fields are set, ``release`` is admitted first.
     """
 
     release: tuple[Job, ...] = ()
@@ -373,43 +293,16 @@ class Adversary(Protocol):
     def assign_length(self, job: Job, t: float) -> float: ...
 
 
-class EngineCore(Protocol):
-    """What a core must provide to back a :class:`SchedulerContext`.
-
-    Implemented by :class:`Simulator` (the object core) and
-    :class:`~repro.core.columnar.ColumnarCore`.
-    """
-
-    _now: float
-    _clairvoyant: bool
-    _queue: EventQueue
-
-    def _start_job(self, job_id: int) -> None: ...
-
-    def _start_batch(self, job_ids: Sequence[int]) -> None: ...
-
-    def _pending_views(self) -> list[JobView]: ...
-
-    def _running_views(self) -> list[JobView]: ...
-
-    def _pending_ids(self) -> list[int]: ...
-
-    def _is_started(self, job_id: int) -> bool: ...
-
-    def _is_completed(self, job_id: int) -> bool: ...
-
-
 class SchedulerContext:
     """The scheduler's handle on the running simulation.
 
-    The context is a thin façade over the active engine core; the same
-    API is served by the object core (scalar) and the columnar core
-    (vectorised), so schedulers never observe which one is running.
+    A thin façade over the engine core: schedulers act through it and
+    never touch the core's job table or event queue directly.
     """
 
     __slots__ = ("_sim",)
 
-    def __init__(self, sim: EngineCore) -> None:
+    def __init__(self, sim: "ColumnarCore") -> None:
         self._sim = sim
 
     @property
@@ -435,10 +328,9 @@ class SchedulerContext:
 
         Semantically identical to ``for jid in job_ids: ctx.start(jid)``
         (same validation, same error on the first illegal start, same
-        trace records) — but the columnar core executes the cohort as
-        array operations, which is what makes the batch-family
-        schedulers' deadline handler O(cohort) instead of O(cohort)
-        Python calls.
+        trace records) — but the core executes the cohort as array
+        operations, which is what makes the batch-family schedulers'
+        deadline handler O(cohort) instead of O(cohort) Python calls.
         """
         self._sim._start_batch(job_ids)
 
@@ -500,12 +392,13 @@ class SimulationResult:
         The scheduler object (exposes algorithm-specific statistics such
         as flag jobs).
 
-    The columnar core constructs results *lazily*: ``span`` and
+    Disarmed runs construct results *lazily*: ``span`` and
     ``events_processed`` are available immediately, while the
     ``Job``/``Instance``/``Schedule`` objects are materialised from the
     job table on first access of ``schedule``/``instance`` (benchmark
-    loops that only read ``span`` never pay for them).  The object core
-    constructs them eagerly; either way the attribute API is identical.
+    loops that only read ``span`` never pay for them).  Armed runs build
+    them eagerly for the ``engine.run_end`` metrics; either way the
+    attribute API is identical.
     """
 
     __slots__ = (
@@ -610,15 +503,12 @@ class Simulator:
         process's ambient recorder, which ``REPRO_TRACE=1`` arms — so
         observability needs no code changes at call sites.  A disabled
         recorder (``NullRecorder`` included) is mapped to ``None``
-        before the event loop starts: the hot path then carries exactly
-        one ``is not None`` test per event, which is what keeps the
-        golden trace bit-identical and the macro-bench overhead ≤2 %.
-    core:
-        ``"columnar"`` (struct-of-arrays hot path, the default) or
-        ``"object"`` (the reference scalar core).  ``None`` defers to
-        the ``REPRO_ENGINE_CORE`` environment variable, then to
-        ``"columnar"``.  Both cores are observably identical (traces,
-        schedules, obs records); see the module docstring.
+        before the event loop starts: the hot path then carries one
+        ``is not None`` test per event, which is what keeps the golden
+        trace bit-identical and the macro-bench overhead ≤2 %.
+
+    The simulator is a façade over one
+    :class:`~repro.core.columnar.ColumnarCore`, which owns all run state.
     """
 
     def __init__(
@@ -631,78 +521,21 @@ class Simulator:
         max_events: int = MAX_EVENTS_DEFAULT,
         trace: bool = False,
         strict: bool | None = None,
-        recorder: Recorder | None = None,
-        core: str | None = None,
+        recorder: "Recorder | None" = None,
     ) -> None:
-        if (instance is None) == (adversary is None):
-            raise SimulationError(
-                "provide exactly one of instance= or adversary="
-            )
-        if core is None:
-            core = (
-                os.environ.get("REPRO_ENGINE_CORE", "").strip().lower()
-                or "columnar"
-            )
-        if core not in ("columnar", "object"):
-            raise SimulationError(
-                f"unknown engine core {core!r} "
-                "(expected 'columnar' or 'object')"
-            )
-        self._core = core
-        self._scheduler = scheduler
-        self._instance = instance
-        self._adversary = adversary
-        self._clairvoyant = clairvoyant
-        self._max_events = max_events
-        if strict is None:
-            strict = strict_mode_enabled()
+        # Function-level import: the core module imports this one.
+        from .columnar import ColumnarCore
 
-        # Observability: resolve the recorder (explicit > ambient), then
-        # collapse "disabled" to None so the hot loop tests one local.
-        if recorder is None:
-            recorder = _get_ambient_recorder()
-        self._obs: Recorder | None = recorder if recorder.enabled else None
-        if self._obs is not None and hasattr(scheduler, "obs"):
-            # Arm the scheduler's decision-provenance channel.
-            scheduler.obs = self._obs
-
-        self._guard: ClairvoyanceGuard | None = None
-        if strict and not getattr(
-            type(scheduler), "requires_clairvoyance", False
-        ):
-            self._guard = ClairvoyanceGuard(self, type(scheduler).__name__)
-
-        self._trace: Trace | None = Trace() if trace else None
-        self._queue = EventQueue()
-        self._states: dict[int, _JobState] = {}
-        #: Incremental indexes behind ``ctx.pending()`` / ``ctx.running()``.
-        self._pending: dict[int, _JobState] = {}
-        self._running: dict[int, _JobState] = {}
-        self._now = 0.0
-        self._events_processed = 0
-        self._ctx = SchedulerContext(self)
-        self._started = False
-        self._streaming = False
-
-        # Scheduler hooks are resolved once instead of via getattr per
-        # event (the previous `_call_hook` showed up in profiles at
-        # ~7% of an adversarial macro run).
-        self._hook_arrival = self._resolve_hook("on_arrival")
-        self._hook_deadline = self._resolve_hook("on_deadline")
-        self._hook_completion = self._resolve_hook("on_completion")
-        self._hook_timer = self._resolve_hook("on_timer")
-
-    def _resolve_hook(self, name: str) -> Any:
-        hook = getattr(self._scheduler, name, None)
-        if hook is None or not callable(hook):
-            return None
-        # Inherited no-op defaults (OnlineScheduler marks them with
-        # ``_repro_noop_hook``) resolve to None so neither core pays a
-        # Python call per event for a hook that does nothing — and so the
-        # columnar core knows a cohort has no per-job callback to honour.
-        if getattr(hook, "_repro_noop_hook", False):
-            return None
-        return hook
+        self._core = ColumnarCore(
+            scheduler,
+            instance=instance,
+            adversary=adversary,
+            clairvoyant=clairvoyant,
+            max_events=max_events,
+            trace=trace,
+            strict=strict,
+            recorder=recorder,
+        )
 
     @property
     def strict_guard(self) -> ClairvoyanceGuard | None:
@@ -711,115 +544,11 @@ class Simulator:
         Its ``accesses`` list survives an aborted run, so tests can
         inspect exactly which pre-completion reads occurred.
         """
-        return self._guard
+        return self._core._guard
 
-    # ------------------------------------------------------------------ run
     def run(self) -> SimulationResult:
         """Execute the simulation to completion and return the result."""
-        if self._started:
-            raise SimulationError("a Simulator instance can only run once")
-        self._started = True
-        if self._core == "columnar":
-            from .parity import parity_mode_enabled
-
-            if parity_mode_enabled():
-                from .parity import run_lockstep
-
-                return run_lockstep(self)
-            from .columnar import ColumnarCore
-
-            return ColumnarCore(self).run()
-        return self._run_object()
-
-    def _run_object(self) -> SimulationResult:
-        """The reference object-core event loop."""
-        obs = self._obs
-
-        if self._instance is not None:
-            initial = list(self._instance.jobs)
-        else:
-            assert self._adversary is not None
-            initial = list(self._adversary.initial_jobs())
-
-        self._admit_batch(initial)
-
-        setup = getattr(self._scheduler, "setup", None)
-        if callable(setup):
-            setup(self._ctx)
-
-        if obs is not None:
-            obs.instant(
-                "engine.run_begin",
-                scheduler=type(self._scheduler).__name__,
-                clairvoyant=self._clairvoyant,
-                adversarial=self._adversary is not None,
-                initial_jobs=len(initial),
-            )
-
-        # --- hot loop -----------------------------------------------------
-        # Locals hoisted and events popped as raw tuples: at >10^5 events
-        # per adversarial run, attribute lookups and Event construction
-        # dominate otherwise (see repro/perf/bench.py for the tracked
-        # numbers).  When a recorder is armed (``obs is not None``), the
-        # loop additionally maintains per-kind dispatch counters and the
-        # heap high-water mark; disarmed, the extra cost is one local
-        # ``is not None`` test per event (ratcheted by
-        # ``python -m repro obs overhead``).
-        heap = self._queue._heap
-        max_events = self._max_events
-        handlers = (
-            self._handle_completion,  # 0 COMPLETION
-            self._handle_assign,      # 1 ASSIGN
-            self._handle_arrival,     # 2 ARRIVAL
-            self._handle_deadline,    # 3 DEADLINE
-            self._handle_timer,       # 4 TIMER
-            self._handle_adversary,   # 5 ADVERSARY
-        )
-        processed = self._events_processed
-        heap_peak = len(heap)
-        try:
-            if obs is not None:
-                with obs.span("engine.dispatch"):
-                    while heap:
-                        if len(heap) > heap_peak:
-                            heap_peak = len(heap)
-                        time, kind, _seq, payload = heappop(heap)
-                        processed += 1
-                        if processed > max_events:
-                            raise SimulationError(
-                                f"event budget exceeded ({max_events}); "
-                                "likely a scheduler/adversary live-lock"
-                            )
-                        if time < self._now:
-                            raise SimulationError(
-                                f"time went backwards: {time} < {self._now}"
-                            )
-                        self._now = time
-                        obs.counter_add(_OBS_EVENT_COUNTERS[kind])
-                        handlers[kind](payload)
-            else:
-                while heap:
-                    time, kind, _seq, payload = heappop(heap)
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"event budget exceeded ({max_events}); "
-                            "likely a scheduler/adversary live-lock"
-                        )
-                    if time < self._now:
-                        raise SimulationError(
-                            f"time went backwards: {time} < {self._now}"
-                        )
-                    self._now = time
-                    handlers[kind](payload)
-        finally:
-            self._events_processed = processed
-            if obs is not None:
-                obs.counter_add("engine.events_processed", processed)
-                obs.counter_add("engine.heap.pushes", self._queue._seq)
-                obs.gauge_set("engine.heap.peak", float(heap_peak))
-
-        return self._finish()
+        return self._core.run()
 
     # -------------------------------------------------------- streaming feed
     @property
@@ -829,56 +558,25 @@ class Simulator:
         Streaming callers (``repro serve``) use it to report per-tenant
         progress and to stamp checkpoints; batch callers never need it.
         """
-        return self._now
+        return self._core._now
 
     def start_stream(self) -> None:
-        """Begin an incremental (streaming) session on the object core.
+        """Begin an incremental (streaming) session.
 
         This is the entry point behind ``repro serve``: instead of one
         :meth:`run` that drains every queued event, the caller
         interleaves :meth:`feed` (admit newly arrived jobs),
         :meth:`advance` (process queued events up to a logical time) and
         finally :meth:`finish_stream` (drain and build the result).  The
-        per-event semantics are identical to a batch run — the same
-        heap, the same ``(time, kind, seq)`` total order, the same
-        handlers — so a time-ordered job stream produces the same
-        schedule, trace and decision records as running the equivalent
-        static instance in one shot.
-
-        Streaming requires the scalar object core (construct with
-        ``Simulator(..., core="object")``); the columnar core's cohort
-        gathering assumes the full event horizon is known up front.
-        Adversaries are not supported: a streaming session's jobs come
-        from the outside world, not from an in-process construction.
+        dispatch loop is the one :meth:`run` drains — the same heap, the
+        same ``(time, kind, seq)`` total order, the same handlers — so a
+        time-ordered job stream produces the same schedule, trace and
+        decision records as running the equivalent static instance in
+        one shot.  Adversaries are not supported: a streaming session's
+        jobs come from the outside world, not from an in-process
+        construction.
         """
-        if self._started:
-            raise SimulationError("a Simulator instance can only run once")
-        if self._core != "object":
-            raise SimulationError(
-                "streaming sessions require the object core "
-                "(construct with Simulator(..., core='object'))"
-            )
-        if self._adversary is not None:
-            raise SimulationError(
-                "streaming sessions do not support adversaries"
-            )
-        self._started = True
-        self._streaming = True
-        assert self._instance is not None
-        initial = list(self._instance.jobs)
-        self._admit_batch(initial)
-        setup = getattr(self._scheduler, "setup", None)
-        if callable(setup):
-            setup(self._ctx)
-        if self._obs is not None:
-            self._obs.instant(
-                "engine.run_begin",
-                scheduler=type(self._scheduler).__name__,
-                clairvoyant=self._clairvoyant,
-                adversarial=False,
-                initial_jobs=len(initial),
-                streaming=True,
-            )
+        self._core.start_stream()
 
     def feed(self, jobs: "Iterable[Job]") -> int:
         """Admit newly arrived jobs mid-stream; returns how many.
@@ -890,16 +588,7 @@ class Simulator:
         horizon covers it, which is what preserves the batch engine's
         same-time cohort order for jobs fed one line at a time.
         """
-        if not self._streaming:
-            raise SimulationError(
-                "feed() requires an active start_stream() session"
-            )
-        batch = list(jobs)
-        if len(batch) == 1:
-            self._admit_job(batch[0])
-        elif batch:
-            self._admit_batch(batch)
-        return len(batch)
+        return self._core.feed(jobs)
 
     def advance(self, until: float | None = None, *, inclusive: bool = True) -> int:
         """Dispatch queued events up to ``until``; returns the count.
@@ -914,52 +603,7 @@ class Simulator:
         before ``until`` is rejected: per-tenant streams must be
         time-monotone, exactly like the online model.
         """
-        if not self._streaming:
-            raise SimulationError(
-                "advance() requires an active start_stream() session"
-            )
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"advance({until}) is in the past (now={self._now})"
-            )
-        obs = self._obs
-        heap = self._queue._heap
-        max_events = self._max_events
-        handlers = (
-            self._handle_completion,  # 0 COMPLETION
-            self._handle_assign,      # 1 ASSIGN
-            self._handle_arrival,     # 2 ARRIVAL
-            self._handle_deadline,    # 3 DEADLINE
-            self._handle_timer,       # 4 TIMER
-            self._handle_adversary,   # 5 ADVERSARY
-        )
-        processed = self._events_processed
-        first = processed
-        try:
-            while heap and (
-                until is None
-                or (heap[0][0] <= until if inclusive else heap[0][0] < until)
-            ):
-                time, kind, _seq, payload = heappop(heap)
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({max_events}); "
-                        "likely a scheduler/adversary live-lock"
-                    )
-                if time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
-                    )
-                self._now = time
-                if obs is not None:
-                    obs.counter_add(_OBS_EVENT_COUNTERS[kind])
-                handlers[kind](payload)
-        finally:
-            self._events_processed = processed
-        if until is not None and until > self._now:
-            self._now = until
-        return processed - first
+        return self._core.advance(until, inclusive=inclusive)
 
     def finish_stream(self) -> SimulationResult:
         """Drain every remaining event and build the result.
@@ -968,310 +612,11 @@ class Simulator:
         FJS contract: every admitted job must start within its window),
         so after this returns every fed job has started and completed.
         """
-        if not self._streaming:
-            raise SimulationError(
-                "finish_stream() requires an active start_stream() session"
-            )
-        self.advance(None)
-        self._streaming = False
-        obs = self._obs
-        if obs is not None:
-            obs.counter_add("engine.events_processed", self._events_processed)
-            obs.counter_add("engine.heap.pushes", self._queue._seq)
-        return self._finish()
-
-    # -------------------------------------------------------------- internal
-    def _record(
-        self, kind: TraceKind, job_id: int | None = None, detail: str = ""
-    ) -> None:
-        if self._trace is not None:
-            self._trace.append(self._now, kind, job_id, detail)
-
-    def _validate_admission(self, job: Job) -> _JobState:
-        """Shared admission checks; returns the registered job state."""
-        if job.id in self._states:
-            raise SimulationError(f"duplicate job id {job.id} admitted")
-        if job.arrival < self._now:
-            raise SimulationError(
-                f"job {job.id} released with arrival {job.arrival} in the "
-                f"past (now={self._now})"
-            )
-        if job.length is None:
-            if self._adversary is None:
-                raise SimulationError(
-                    f"job {job.id} has no length and no adversary to assign one"
-                )
-            if self._clairvoyant:
-                raise SimulationError(
-                    "adversary-controlled lengths are incompatible with the "
-                    "clairvoyant information model"
-                )
-        st = _JobState(job, self._guard)
-        if job.length is not None:
-            st.length = job.length
-            st.length_visible = self._clairvoyant
-        self._states[job.id] = st
-        if self._trace is not None:
-            self._trace.append(
-                self._now, TraceKind.RELEASE, job.id, f"arrival={job.arrival:g}"
-            )
-        obs = self._obs
-        if obs is not None:
-            if st.length is not None:
-                obs.instant(
-                    "engine.release",
-                    t=self._now,
-                    job=job.id,
-                    arrival=job.arrival,
-                    deadline=job.deadline,
-                    length=st.length,
-                )
-            else:
-                obs.instant(
-                    "engine.release",
-                    t=self._now,
-                    job=job.id,
-                    arrival=job.arrival,
-                    deadline=job.deadline,
-                )
-        return st
-
-    def _admit_job(self, job: Job) -> None:
-        """Register a job and schedule its arrival (and deadline) events."""
-        self._validate_admission(job)
-        self._queue.push(job.arrival, EventKind.ARRIVAL, job.id)
-        if self._obs is not None:
-            self._obs.counter_add("engine.jobs_admitted")
-
-    def _admit_batch(self, jobs: list[Job]) -> None:
-        """Admit many jobs at once, heapifying the arrival events in bulk.
-
-        Equivalent to ``for job in jobs: self._admit_job(job)`` — the
-        arrival events carry the same (time, kind, seq) total order —
-        but O(n) instead of O(n log n) on the initial admission, which
-        for §3.1 adversarial iterations releases thousands of jobs at a
-        single instant.
-        """
-        obs = self._obs
-        if obs is not None:
-            with obs.span("engine.admit_batch", n=len(jobs)):
-                for job in jobs:
-                    self._validate_admission(job)
-                self._queue.extend(
-                    (job.arrival, EventKind.ARRIVAL, job.id) for job in jobs
-                )
-            obs.counter_add("engine.jobs_admitted", float(len(jobs)))
-            return
-        for job in jobs:
-            self._validate_admission(job)
-        self._queue.extend(
-            (job.arrival, EventKind.ARRIVAL, job.id) for job in jobs
-        )
-
-    def _handle_arrival(self, job_id: int) -> None:
-        st = self._states[job_id]
-        st.arrived = True
-        self._pending[job_id] = st
-        if self._trace is not None:
-            self._trace.append(self._now, TraceKind.ARRIVAL, job_id, "")
-        self._queue.push(st.job.deadline, EventKind.DEADLINE, job_id)
-        if self._hook_arrival is not None:
-            self._hook_arrival(self._ctx, st.view)
-
-    def _handle_deadline(self, job_id: int) -> None:
-        st = self._states[job_id]
-        if st.start is not None:
-            return  # job already started; the deadline event is moot
-        if self._trace is not None:
-            self._trace.append(self._now, TraceKind.DEADLINE, job_id, "")
-        if self._hook_deadline is not None:
-            self._hook_deadline(self._ctx, st.view)
-        if st.start is None:
-            raise DeadlineMissedError(
-                f"scheduler {type(self._scheduler).__name__} failed to start "
-                f"job {job_id} by its starting deadline {st.job.deadline}"
-            )
-
-    def _handle_completion(self, job_id: int) -> None:
-        st = self._states[job_id]
-        if st.completed:  # pragma: no cover - defensive
-            raise SimulationError(f"job {job_id} completed twice")
-        st.completed = True
-        st.length_visible = True  # completion reveals the length
-        self._running.pop(job_id, None)
-        if self._trace is not None:
-            self._trace.append(self._now, TraceKind.COMPLETION, job_id, "")
-        if self._obs is not None:
-            self._obs.instant(
-                "engine.completion", t=self._now, job=job_id, length=st.length
-            )
-        if self._hook_completion is not None:
-            self._hook_completion(self._ctx, st.view)
-        if self._adversary is not None:
-            self._apply_adversary_response(
-                self._adversary.on_completion(st.job, self._now)
-            )
-
-    def _handle_assign(self, job_id: int) -> None:
-        assert self._adversary is not None
-        st = self._states[job_id]
-        if st.length is not None:  # pragma: no cover - defensive
-            raise SimulationError(f"job {job_id} length assigned twice")
-        length = self._adversary.assign_length(st.job, self._now)
-        if length <= 0:
-            raise SimulationError(
-                f"adversary assigned non-positive length {length} to job {job_id}"
-            )
-        assert st.start is not None
-        completion = st.start + length
-        if completion < self._now:
-            raise SimulationError(
-                f"adversary assigned length {length} to job {job_id} putting "
-                f"its completion {completion} in the past (now={self._now})"
-            )
-        st.length = length
-        st.completion = completion  # parity: object-only
-        self._record(TraceKind.ASSIGN, job_id, f"length={length:g}")
-        self._queue.push(completion, EventKind.COMPLETION, job_id)
-
-    def _handle_timer(self, tag: Any) -> None:
-        self._record(TraceKind.TIMER, None, repr(tag))
-        if self._hook_timer is not None:
-            self._hook_timer(self._ctx, tag)
-
-    def _handle_adversary(self, _payload: Any) -> None:
-        assert self._adversary is not None
-        self._record(TraceKind.ADVERSARY_WAKEUP)
-        self._apply_adversary_response(self._adversary.on_wakeup(self._now))
-
-    # -- SchedulerContext backend (object core) ----------------------------
-    def _pending_views(self) -> list[JobView]:
-        views = [st.view for st in self._pending.values()]
-        views.sort(key=lambda v: (v.deadline, v.arrival, v.id))
-        return views
-
-    def _running_views(self) -> list[JobView]:
-        views = [st.view for st in self._running.values()]
-        views.sort(key=lambda v: (v.start_time, v.id))
-        return views
-
-    def _pending_ids(self) -> list[int]:
-        states = sorted(
-            self._pending.values(),
-            key=lambda s: (s.job.deadline, s.job.arrival, s.job.id),
-        )
-        return [s.job.id for s in states]
-
-    def _is_started(self, job_id: int) -> bool:
-        st = self._states.get(job_id)
-        return st is not None and st.start is not None
-
-    def _is_completed(self, job_id: int) -> bool:
-        st = self._states.get(job_id)
-        return st is not None and st.completed
-
-    def _start_batch(self, job_ids: Sequence[int]) -> None:
-        for job_id in job_ids:
-            self._start_job(job_id)
-
-    def _start_job(self, job_id: int) -> None:
-        st = self._states.get(job_id)
-        if st is None:
-            raise SchedulingViolationError(f"unknown job id {job_id}")
-        if not st.arrived:
-            raise SchedulingViolationError(
-                f"job {job_id} has not arrived yet (now={self._now})"
-            )
-        if st.start is not None:
-            raise SchedulingViolationError(f"job {job_id} was already started")
-        if self._now > st.job.deadline:
-            raise SchedulingViolationError(
-                f"job {job_id} started at {self._now}, after its starting "
-                f"deadline {st.job.deadline}"
-            )
-        st.start = self._now
-        self._pending.pop(job_id, None)
-        self._running[job_id] = st
-        self._record(TraceKind.START, job_id)
-        if self._obs is not None:
-            self._obs.instant("engine.start", t=self._now, job=job_id)
-        if st.length is not None:
-            st.completion = self._now + st.length  # parity: object-only
-            self._queue.push(st.completion, EventKind.COMPLETION, job_id)
-        else:
-            assert self._adversary is not None
-            when = self._adversary.length_decision_time(st.job, self._now)
-            if when < self._now:
-                raise SimulationError(
-                    f"length decision time {when} precedes start {self._now}"
-                )
-            self._queue.push(when, EventKind.ASSIGN, job_id)
-        if self._adversary is not None:
-            self._apply_adversary_response(
-                self._adversary.on_start(st.job, self._now)
-            )
-
-    def _apply_adversary_response(self, resp: AdversaryResponse | None) -> None:
-        if resp is None:
-            return
-        release = resp.release
-        if len(release) > 1:
-            self._admit_batch(list(release))
-        else:
-            for job in release:
-                self._admit_job(job)
-        if resp.release_batch is not None:
-            self._admit_batch(list(resp.release_batch.jobs()))
-        if resp.wakeup is not None:
-            if resp.wakeup < self._now:
-                raise SimulationError(
-                    f"adversary wakeup {resp.wakeup} is in the past "
-                    f"(now={self._now})"
-                )
-            self._queue.push(resp.wakeup, EventKind.ADVERSARY, None)
-
-    def _finish(self) -> SimulationResult:
-        jobs: list[Job] = []
-        starts: dict[int, float] = {}
-        for st in self._states.values():
-            if st.start is None:  # pragma: no cover - deadline enforcement
-                raise SimulationError(f"job {st.job.id} never started")
-            if not st.completed:  # pragma: no cover - queue drained
-                raise SimulationError(f"job {st.job.id} never completed")
-            assert st.length is not None
-            jobs.append(
-                st.job if st.job.length is not None else st.job.with_length(st.length)
-            )
-            starts[st.job.id] = st.start
-        name = (
-            self._instance.name
-            if self._instance is not None
-            else f"adversarial/{type(self._adversary).__name__}"
-        )
-        resolved = Instance(jobs, name=name)
-        schedule = Schedule(resolved, starts)
-        obs = self._obs
-        if obs is not None:
-            obs.gauge_set("engine.span", schedule.span)
-            obs.counter_add("engine.jobs", float(len(jobs)))
-            for job in jobs:
-                assert job.length is not None
-                obs.histogram_observe("engine.job_length", job.length)
-            obs.instant(
-                "engine.run_end",
-                t=self._now,
-                span=schedule.span,
-                jobs=len(jobs),
-                events=self._events_processed,
-            )
-        return SimulationResult(
-            schedule=schedule,
-            instance=resolved,
-            events_processed=self._events_processed,
-            scheduler=self._scheduler,
-            trace=self._trace,
-            recorder=obs,
-        )
+        if self._core._streaming:
+            # Drain through the public advance, the call that per-layer
+            # instrumentation wraps; the core's finish then has no work.
+            self.advance(None)
+        return self._core.finish_stream()
 
 
 def simulate(
@@ -1283,8 +628,7 @@ def simulate(
     max_events: int = MAX_EVENTS_DEFAULT,
     trace: bool = False,
     strict: bool | None = None,
-    recorder: Recorder | None = None,
-    core: str | None = None,
+    recorder: "Recorder | None" = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulator`.
 
@@ -1306,5 +650,4 @@ def simulate(
         trace=trace,
         strict=strict,
         recorder=recorder,
-        core=core,
     ).run()

@@ -16,7 +16,6 @@ __all__ = [
     "DeadlineMissedError",
     "SchedulingViolationError",
     "ClairvoyanceError",
-    "CoreParityError",
     "SimulationError",
     "SolverError",
     "CapacityExceededError",
@@ -60,16 +59,6 @@ class ClairvoyanceError(FJSError, RuntimeError):
 
 class SimulationError(FJSError, RuntimeError):
     """The discrete-event simulation reached an inconsistent state."""
-
-
-class CoreParityError(SimulationError):
-    """The object and columnar engine cores disagreed on a lockstep run.
-
-    Raised only under ``REPRO_PARITY=1`` (see :mod:`repro.core.parity`):
-    the same instance/scheduler/adversary was executed on both cores and
-    their final state snapshots (schedule, span, event counts, traces)
-    or their raised error types diverged.  Either way one core has
-    drifted — this is a bug in the engine, never in user code."""
 
 
 class SolverError(FJSError, RuntimeError):

@@ -41,10 +41,6 @@ RL012     hot-path-object-alloc — per-job ``Job``/``JobView``
           construction or attribute-gather loops inside hot sections of
           the engine cores; hot code must use ``JobTable`` row indexes,
           column slices, and list mirrors.
-RL013     core-parity-drift — a state field, event kind, or guard in one
-          engine core (object/columnar) with no declared mirror or
-          ``# parity: <side>-only`` annotation in the other; includes
-          the cohort-soundness table and the armed scalar-mirror loop.
 RL014     lifecycle-typestate — a PENDING→RUNNING→DONE lifecycle write
           in an illegal event phase, or a scheduler that starts jobs
           from ``on_deadline`` without the deadline-flag/backstop
@@ -86,8 +82,7 @@ the offending line.  Grandfathered findings live in a baseline file (see
 The static RL001 verdicts are cross-validated by a runtime oracle: under
 ``REPRO_STRICT=1`` the engine records (and rejects) pre-completion
 ``.length`` reads by schedulers declaring ``requires_clairvoyance =
-False`` — see :mod:`repro.core.engine`.  RL013 has its own twin
-(``REPRO_PARITY=1`` lockstep core diffing), and RL017/RL018 are
+False`` — see :mod:`repro.core.engine`.  RL017/RL018 are
 cross-validated by the ``REPRO_LOOPWATCH=1`` instrumented event loop
 (:mod:`repro.serve.loopwatch`), which measures per-callback stalls and
 never-retrieved task exceptions on the shared async fixture packages.
@@ -111,7 +106,7 @@ from . import rules_generic  # noqa: F401
 from . import rules_observability  # noqa: F401
 from . import rules_perf  # noqa: F401
 from . import dataflow  # noqa: F401  (registers RL007-RL010)
-from . import invariants  # noqa: F401  (registers RL013-RL016)
+from . import invariants  # noqa: F401  (registers RL014-RL016)
 from . import asyncsafety  # noqa: F401  (registers RL017-RL021)
 from .dataflow import AnalysisCache, Program, default_cache_path
 

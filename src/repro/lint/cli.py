@@ -40,9 +40,8 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:  # type: ignore[ty
             "code — use the repro.obs recorder); hot-path allocation "
             "discipline (RL012: no per-job object construction or "
             "attribute-gather loops in the engine cores' hot sections); "
-            "and the invariant certifier: dual-core parity drift "
-            "(RL013, cross-validated at runtime by REPRO_PARITY=1 "
-            "lockstep runs), job-lifecycle typestate (RL014), decision-"
+            "and the invariant certifier: job-lifecycle typestate "
+            "(RL014), decision-"
             "vocabulary exhaustiveness (RL015, cross-validated by "
             "'repro obs explain --strict'), and time monotonicity "
             "(RL016)."

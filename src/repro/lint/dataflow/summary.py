@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import ast
 import math
-import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -131,8 +130,6 @@ _INDEX_MUTATORS = {
     "discard",
 }
 
-#: ``# parity: object-only`` / ``# parity: columnar-only`` (RL013).
-_PARITY_RE = re.compile(r"#\s*parity:\s*(object-only|columnar-only)\b")
 
 #: ``math`` functions folded during constant propagation.
 _FOLDABLE_MATH = {
@@ -197,17 +194,13 @@ class FunctionSummary:
     returns_call_of: list[str] = field(default_factory=list)
     nested: bool = False  #: defined inside another function
     free_vars: list[str] = field(default_factory=list)
-    #: attribute-carried state writes (RL013/RL014): ``[field, value,
+    #: attribute-carried state writes (RL014): ``[field, value,
     #: lineno, col]`` for stores through ``<recv>.<field>`` /
     #: ``<recv>.<field>[...]`` and index-mutator calls
     #: (``<recv>.<field>.pop(...)``).  ``value`` is a ref leaf
     #: ("_RUNNING"), "now"/"now+" for clock-anchored values, "const",
     #: "aug" for augmented assignment, or ``None`` when unclassifiable.
     state_writes: list[list[Any]] = field(default_factory=list)
-    #: ``raise Exc(...)`` sites: ``[exception name, lineno]``
-    raises: list[list[Any]] = field(default_factory=list)
-    #: ``self.<a>`` attributes read (Load context) anywhere in the body
-    self_loads: list[str] = field(default_factory=list)
     #: event-queue pushes (RL016): ``[key desc, kind leaf, lineno, col]``
     #: from ``<q>.push(key, KIND, …)`` calls and raw ``(key, KIND, seq,
     #: payload)`` tuple literals whose kind slot names an event kind.
@@ -267,11 +260,8 @@ class FileSummary:
     #: line -> suppressed codes (mirrors FileContext.suppressions; "*" = all)
     suppressions: dict[str, list[str]] = field(default_factory=dict)
     #: module-level pure-literal dicts with string keys (decision
-    #: vocabularies, parity field maps): name -> {"line": …, "items": {…}}
+    #: vocabularies): name -> {"line": …, "items": {…}}
     dict_constants: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: ``# parity: object-only`` / ``# parity: columnar-only`` annotations
-    #: (RL013): line number (as str) -> side tag
-    parity_lines: dict[str, str] = field(default_factory=dict)
 
     # -- (de)serialisation --------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -511,7 +501,6 @@ class _FunctionAnalyzer:
         self.origins: dict[str, set[Origin]] = {}
         self.locals: set[str] = set()
         self.globals_declared: set[str] = set()
-        self._self_loads: set[str] = set()
         self._now_guards: set[str] = set()
         self._now_anchored: set[str] = set()
         self.out = FunctionSummary(
@@ -602,7 +591,6 @@ class _FunctionAnalyzer:
         self._collect_async_contexts()
         self._scan_body()
         self._derive_guards()
-        self.out.self_loads = sorted(self._self_loads)
         self.out.now_guards = sorted(self._now_guards)
         self.out.now_anchored = sorted(self._now_anchored)
         self.out.free_vars = sorted(self._free_vars()) if self.nested else []
@@ -791,18 +779,10 @@ class _FunctionAnalyzer:
                 self._scan_store(node)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 self._scan_state_write(node.target, node.value, node, False)
-            elif isinstance(node, ast.Raise):
-                self._scan_raise(node)
             elif isinstance(node, ast.Tuple):
                 self._scan_event_tuple(node)
 
     def _scan_attribute(self, node: ast.Attribute) -> None:
-        if (
-            isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            self._self_loads.add(node.attr)
         if node.attr not in _TAINT_ATTRS:
             return
         if node.attr == "length" and not isinstance(node.ctx, ast.Load):
@@ -934,7 +914,7 @@ class _FunctionAnalyzer:
                 )
         # Event-queue pushes whose kind slot names an event kind
         # (``queue.push(time, EventKind.DEADLINE, payload)``) — the key
-        # description feeds RL016, the kind feeds the RL013 parity model.
+        # description feeds RL016.
         if leaf == "push" and len(node.args) >= 2:
             kind = _kind_leaf(node.args[1])
             if kind is not None:
@@ -943,7 +923,7 @@ class _FunctionAnalyzer:
                 )
         # Index-structure mutation through an attribute receiver
         # (``self._running.pop(jid, None)``, ``self._pending.update(...)``)
-        # is a state write in the RL013 parity model.  Bare-Name receivers
+        # is a state write (RL014's lifecycle model).  Bare-Name receivers
         # (hoisted locals) are deliberately out of scope.
         if (
             isinstance(node.func, ast.Attribute)
@@ -1064,15 +1044,6 @@ class _FunctionAnalyzer:
         self.out.state_writes.append(
             [attr_node.attr, desc, node.lineno, node.col_offset]
         )
-
-    def _scan_raise(self, node: ast.Raise) -> None:
-        exc = node.exc
-        if exc is None:
-            return
-        target: ast.expr = exc.func if isinstance(exc, ast.Call) else exc
-        name = _expr_leaf(target)
-        if name is not None:
-            self.out.raises.append([name, node.lineno])
 
     def _scan_event_tuple(self, node: ast.Tuple) -> None:
         """Raw event tuples ``(time, KIND, …)`` built for ``EventQueue.extend``
@@ -1283,13 +1254,6 @@ def extract_summary(
         out.suppressions = {
             str(line): sorted(codes) for line, codes in suppressions.items()
         }
-
-    # Parity annotations: ``# parity: object-only`` / ``columnar-only``
-    # declare a deliberate one-core state write for RL013.
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _PARITY_RE.search(line)
-        if m is not None:
-            out.parity_lines[str(lineno)] = m.group(1)
 
     # Pass 0: module-level names (globals) for effect/closure analysis.
     module_globals: set[str] = set()

@@ -1,15 +1,11 @@
-"""Core-parity and temporal-invariant certification (RL013-RL016).
+"""Lifecycle and temporal-invariant certification (RL014-RL016).
 
 This package builds on the :mod:`repro.lint.dataflow` fixpoint engine to
-certify the contracts that keep the dual-core engine honest:
+certify the contracts that keep the engine honest:
 
 =======  ==============================  =======================================
 Code     Name                            Certifies
 =======  ==============================  =======================================
-RL013    core-parity-drift               object/columnar state machines mirror
-                                         each other (fields, kinds, guards,
-                                         cohort soundness) up to declared
-                                         ``# parity:`` annotations
 RL014    lifecycle-typestate             PENDING -> RUNNING -> DONE transitions
                                          happen in legal event phases; deadline
                                          starts carry the backstop decision
@@ -19,15 +15,10 @@ RL015    decision-vocabulary-            scheduler decisions and the
 RL016    time-monotonicity               heap-push keys and clock writes are
                                          provably monotone non-decreasing
 =======  ==============================  =======================================
-
-RL013 has a runtime twin: ``REPRO_PARITY=1`` (see
-:mod:`repro.core.parity`) shadow-runs both cores in lockstep and diffs
-their state snapshots, cross-validating the static model the same way
-the ``ClairvoyanceGuard`` cross-validates RL001.
 """
 
 from __future__ import annotations
 
-from . import monotone, parity, typestate, vocabulary  # noqa: F401  (registration)
+from . import monotone, typestate, vocabulary  # noqa: F401  (registration)
 
-__all__ = ["monotone", "parity", "typestate", "vocabulary"]
+__all__ = ["monotone", "typestate", "vocabulary"]

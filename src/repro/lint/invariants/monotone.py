@@ -144,7 +144,7 @@ class TimeMonotonicityRule(ProgramRule):
         out.update(fn.now_guards)
         out.update(fn.now_anchored)
         # Guards established by directly-called same-class helpers apply
-        # to the values they vet (one level, mirroring RL013's closure).
+        # to the values they vet (one level deep).
         for cs in fn.calls:
             callee = _same_class_method(cls, cs.callee)
             if callee is not None:

@@ -1,13 +1,13 @@
-"""RL014: job-lifecycle typestate over the engine cores and schedulers.
+"""RL014: job-lifecycle typestate over the engine and schedulers.
 
 The job lifecycle is a one-way street::
 
     ADMITTED --arrival--> PENDING --start--> RUNNING --completion--> DONE
 
-Both engine cores encode it — the object core as booleans
-(``arrived``/``completed``) on ``_JobState``, the columnar core as the
-``state`` int8 column over the ``_ADMITTED``/``_PENDING``/``_RUNNING``/
-``_DONE`` constants.  This rule checks each lifecycle write site sits in
+The engine encodes it as the ``state`` int8 column over the
+``_ADMITTED``/``_PENDING``/``_RUNNING``/``_DONE`` constants (boolean
+``arrived``/``completed`` fields on per-job state objects are checked
+the same way).  This rule checks each lifecycle write site sits in
 a method whose event phase may legally perform that transition, and that
 no instrumented scheduler can start jobs from a deadline event without
 emitting the paper's deadline decision (``deadline-flag`` or
@@ -28,8 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["LifecycleTypestateRule"]
 
-#: Module opts into lifecycle checking when it declares a parity side or
-#: at least this many of the state constants below.
+#: Module opts into lifecycle checking when it defines at least this many
+#: of the state constants below.
 _STATE_CONSTS = ("_ADMITTED", "_PENDING", "_RUNNING", "_DONE")
 _MIN_STATE_CONSTS = 3
 
@@ -45,7 +45,8 @@ _LEGAL_PHASES = {
     "DONE": {"completion"},
 }
 
-#: Boolean lifecycle fields (object core) -> phases allowed to set them.
+#: Boolean lifecycle fields (per-job state objects) -> phases allowed to
+#: set them.
 _BOOL_FIELDS = {
     "arrived": {"arrival", "init"},
     "completed": {"completion", "init"},
@@ -120,7 +121,7 @@ class LifecycleTypestateRule(ProgramRule):
     ``deadline-backstop``, or ``repro obs explain --strict`` can no
     longer reconcile the trace.
 
-    Scope: modules that declare ``_PARITY_CORE`` or define most of the
+    Scope: modules that define most of the
     ``_ADMITTED``/``_PENDING``/``_RUNNING``/``_DONE`` constants (the
     lifecycle half), and scheduler classes that emit at least one
     decision record (the deadline half — uninstrumented schedulers are
@@ -153,9 +154,6 @@ class LifecycleTypestateRule(ProgramRule):
     # -- lifecycle half ------------------------------------------------------
     @staticmethod
     def _in_scope(fs: "FileSummary") -> bool:
-        side = fs.constants.get("_PARITY_CORE")
-        if side is not None and side.get("k") == "str":
-            return True
         n = sum(1 for c in _STATE_CONSTS if c in fs.constants)
         return n >= _MIN_STATE_CONSTS
 

@@ -10,13 +10,13 @@ a heap push — so this rule polices the hot sections of the two engine
 cores (``repro/core/engine.py`` and ``repro/core/columnar.py``).
 
 A **hot section** is a function whose name marks it as per-event or
-per-cohort code: the dispatch loops (``_run_*``), the event handlers
+per-cohort code: the dispatch loop (``_dispatch``), the event handlers
 (``_handle_*``), the cohort paths (``_cohort_*``, ``_complete_*``,
 ``_assign_*``, ``_gather*``), the start paths (``_start_*``) and the
 heap feeders (``_push_*``).  Inside those, the rule flags:
 
-* construction of a per-job object — ``Job(...)``, ``JobView(...)``,
-  ``TableJobView(...)``, ``_JobState(...)``.  Hot code must address
+* construction of a per-job object — ``Job(...)``, ``JobView(...)``.
+  Hot code must address
   jobs by row index and materialise objects only at API boundaries
   (the lazily-cached ``JobTable.job`` / ``ColumnarCore._view`` are the
   sanctioned paths);
@@ -39,7 +39,7 @@ Clean::
         deadlines = self._table.deadline[rows]   # column slice
 
 Error paths that deliberately rebuild the offending ``Job`` to re-raise
-the object core's exact exception run *outside* loops and are not
+its exact validation error run *outside* loops and are not
 flagged; a deliberate in-loop materialisation takes an explicit
 ``# lint: ignore[RL012]``.
 """
@@ -56,7 +56,7 @@ from .scopes import HOT_CORE_FRAGMENTS, HOT_SECTION_PREFIXES
 __all__ = ["HOT_CORE_FRAGMENTS", "HOT_SECTION_PREFIXES", "HotPathAllocRule"]
 
 #: Per-job object constructors that must not run per event.
-_PER_JOB_TYPES = frozenset({"Job", "JobView", "TableJobView", "_JobState"})
+_PER_JOB_TYPES = frozenset({"Job", "JobView"})
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp)
 
@@ -94,12 +94,11 @@ class HotPathAllocRule(Rule):
     boundaries (lazily cached by ``JobTable.job`` and
     ``ColumnarCore._view``).  This rule keeps it that way: inside hot
     sections of ``repro/core/engine.py`` and ``repro/core/columnar.py``
-    — functions named ``_run_*``, ``_handle_*``, ``_cohort_*``,
+    — functions named ``_dispatch*``, ``_handle_*``, ``_cohort_*``,
     ``_complete_*``, ``_assign_*``, ``_gather*``, ``_start_*``,
     ``_push_*`` — it flags
 
-    * ``Job(...)`` / ``JobView(...)`` / ``TableJobView(...)`` /
-      ``_JobState(...)`` constructor calls, and
+    * ``Job(...)`` / ``JobView(...)`` constructor calls, and
     * per-job attribute-gather loops: a comprehension whose element is
       an attribute read off the loop variable, or a ``for`` loop whose
       body appends such a read — both signs of walking objects where a

@@ -53,7 +53,7 @@ HOT_CORE_FRAGMENTS = (
 
 #: Function-name prefixes marking per-event / per-cohort code.
 HOT_SECTION_PREFIXES = (
-    "_run_",
+    "_dispatch",
     "_handle_",
     "_cohort_",
     "_complete_",

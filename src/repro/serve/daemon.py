@@ -293,6 +293,11 @@ class ServeDaemon:
         self.records_out = 0
         self.errors = 0
         self._reader_tasks: set["asyncio.Task[Any]"] = set()
+        #: Set once ``_prepare`` has restored checkpoints.  The server
+        #: accepts connections before that (clients may connect as soon
+        #: as the socket exists), but each one waits on this event before
+        #: ``serve.ready`` — and so before reading its first op.
+        self._prepared = asyncio.Event()
         self._shutdown_event: asyncio.Event | None = None
         self._signals: list[signal.Signals] = []
 
@@ -370,6 +375,7 @@ class ServeDaemon:
             self.telemetry_address = await self.telemetry_server.start(
                 *self.telemetry_listen
             )
+        self._prepared.set()
 
     async def _run_with_server(
         self, server: asyncio.AbstractServer, address: str
@@ -416,6 +422,7 @@ class ServeDaemon:
         if task is not None:
             self._reader_tasks.add(task)
         try:
+            await self._prepared.wait()
             await conn.emit(
                 {
                     "kind": "serve.ready",

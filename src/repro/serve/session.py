@@ -1,8 +1,9 @@
 """Per-tenant streaming sessions: one scheduler engine per tenant.
 
-A :class:`TenantSession` wraps one object-core
+A :class:`TenantSession` wraps one
 :class:`~repro.core.engine.Simulator` opened with
-:meth:`~repro.core.engine.Simulator.start_stream`, plus the
+:meth:`~repro.core.engine.Simulator.start_stream` — the same columnar
+core and event loop a batch run drains — plus the
 :class:`~repro.obs.recorder.TraceRecorder` that captures its structured
 records.  The daemon feeds it validated protocol ops one at a time;
 :meth:`apply` advances the engine and returns the *new* output records
@@ -52,6 +53,9 @@ _STREAM_OPS = frozenset({"job", "advance", "close"})
 class TenantSession:
     """One tenant's live scheduling stream.
 
+    The engine is a streaming :class:`~repro.core.engine.Simulator`: the
+    columnar core, fed one job per ``job`` op, with its recorder armed.
+
     Parameters
     ----------
     tenant:
@@ -98,7 +102,6 @@ class TenantSession:
             sched,
             instance=Instance([], name=f"serve/{tenant}"),
             clairvoyant=self.clairvoyant,
-            core="object",
             recorder=self.recorder,
         )
         self.sim.start_stream()

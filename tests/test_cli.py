@@ -36,12 +36,6 @@ class TestRun:
         assert "span      : 0.0000" in out
         assert "ratio <= 1.0000" in out
 
-    def test_run_unknown_engine_core_is_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CORE", "turbo")
-        assert main(["run", "batch", "--jobs", "5"]) == 2
-        err = capsys.readouterr().err
-        assert "error: unknown engine core 'turbo'" in err
-
 
 class TestCompare:
     def test_compare_lower_bound(self, capsys):

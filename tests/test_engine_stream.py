@@ -4,8 +4,8 @@ The serve daemon's whole determinism story rests on one property: a
 time-ordered job stream fed through the incremental API produces the
 *same* schedule, decision records and span as running the equivalent
 static instance through one :meth:`Simulator.run`.  These tests pin that
-parity across the non-clairvoyant registry schedulers, plus the error
-contract of the streaming entry points.
+parity across every registry scheduler, each under the information model
+it declares, plus the error contract of the streaming entry points.
 """
 
 from __future__ import annotations
@@ -13,22 +13,29 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Instance
+from repro.core.columnar import ColumnarCore
 from repro.core.engine import Simulator
 from repro.core.errors import SimulationError
 from repro.obs import TraceRecorder
 from repro.obs.records import KIND_DECISION
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import make_scheduler, scheduler_names
 from repro.workloads import WorkloadSpec, generate
 
-#: Non-clairvoyant schedulers whose streaming parity we pin (the serve
-#: daemon accepts any registry scheduler; these are the paper's).
-STREAM_SCHEDULERS = ["batch", "batch+", "epoch-batch", "eager", "lazy"]
+#: Every registry scheduler: the serve daemon accepts any of them.
+STREAM_SCHEDULERS = scheduler_names()
+
+
+def _clairvoyant(name: str) -> bool:
+    return bool(make_scheduler(name).requires_clairvoyance)
 
 
 def _batch_run(name: str, inst: Instance):
     rec = TraceRecorder()
     sim = Simulator(
-        make_scheduler(name), instance=inst, core="object", recorder=rec
+        make_scheduler(name),
+        instance=inst,
+        clairvoyant=_clairvoyant(name),
+        recorder=rec,
     )
     return sim.run(), rec
 
@@ -39,7 +46,7 @@ def _stream_run(name: str, inst: Instance):
     sim = Simulator(
         make_scheduler(name),
         instance=Instance([], name=f"stream/{inst.name}"),
-        core="object",
+        clairvoyant=_clairvoyant(name),
         recorder=rec,
     )
     sim.start_stream()
@@ -86,6 +93,45 @@ class TestStreamBatchParity:
                 == batch_result.schedule.starts()
             )
 
+    @pytest.mark.parametrize("name", ["batch", "batch+", "epoch-batch"])
+    def test_disarmed_stream_gathers_cohorts_identically(
+        self, name, monkeypatch
+    ):
+        """Without a recorder the loop takes same-time cohorts in one
+        step; the streamed trace must still equal the batch trace."""
+        cohorts = []
+        original = ColumnarCore._cohort_completion
+
+        def counting(core, cohort):
+            cohorts.append(len(cohort))
+            original(core, cohort)
+
+        monkeypatch.setattr(ColumnarCore, "_cohort_completion", counting)
+        inst = Instance.from_triples(
+            [(i // 3, 2, 1 + i % 2) for i in range(30)], name="cohorts"
+        )
+        batch = Simulator(make_scheduler(name), instance=inst, trace=True)
+        batch_result = batch.run()
+        cohorts.clear()
+        sim = Simulator(
+            make_scheduler(name), instance=Instance([], name=inst.name),
+            trace=True,
+        )
+        sim.start_stream()
+        for job in sorted(inst.jobs, key=lambda j: (j.arrival, j.id)):
+            sim.feed([job])
+            sim.advance(job.arrival, inclusive=False)
+        result = sim.finish_stream()
+        release_free = [
+            r for r in result.trace if r.kind.value != "release"
+        ]
+        assert release_free == [
+            r for r in batch_result.trace if r.kind.value != "release"
+        ]
+        assert result.events_processed == batch_result.events_processed
+        assert result.span == batch_result.span
+        assert cohorts, "the streamed run never gathered a cohort"
+
     def test_same_time_cohort_preserved(self, batchable_instance):
         """Jobs sharing an arrival must still batch as one cohort."""
         inst = Instance.from_triples(
@@ -108,7 +154,6 @@ class TestStreamBatchParity:
         sim = Simulator(
             make_scheduler("batch+"),
             instance=Instance([]),
-            core="object",
             recorder=TraceRecorder(),
         )
         sim.start_stream()
@@ -127,8 +172,7 @@ class TestStreamBatchParity:
 class TestStreamApi:
     def _stream_sim(self, **kwargs) -> Simulator:
         sim = Simulator(
-            make_scheduler("batch+"), instance=Instance([]), core="object",
-            **kwargs,
+            make_scheduler("batch+"), instance=Instance([]), **kwargs
         )
         sim.start_stream()
         return sim
@@ -142,9 +186,7 @@ class TestStreamApi:
         assert sim.now == 3.5
 
     def test_feed_requires_stream(self):
-        sim = Simulator(
-            make_scheduler("batch+"), instance=Instance([]), core="object"
-        )
+        sim = Simulator(make_scheduler("batch+"), instance=Instance([]))
         with pytest.raises(SimulationError, match="start_stream"):
             sim.feed([])
         with pytest.raises(SimulationError, match="start_stream"):
@@ -172,20 +214,12 @@ class TestStreamApi:
         with pytest.raises(SimulationError, match="duplicate"):
             sim.feed([job])
 
-    def test_columnar_core_rejected(self):
-        sim = Simulator(
-            make_scheduler("batch+"), instance=Instance([]), core="columnar"
-        )
-        with pytest.raises(SimulationError, match="object core"):
-            sim.start_stream()
-
     def test_adversary_rejected(self):
         from repro.adversaries import NonClairvoyantLowerBoundAdversary
 
         sim = Simulator(
             make_scheduler("batch+"),
             adversary=NonClairvoyantLowerBoundAdversary(mu=3.0),
-            core="object",
         )
         with pytest.raises(SimulationError, match="adversar"):
             sim.start_stream()

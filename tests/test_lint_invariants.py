@@ -1,19 +1,16 @@
-"""Tests for the invariant-certification layer (RL013–RL016).
+"""Tests for the invariant-certification layer (RL014–RL016).
 
-Covers the four program rules on their fixture packages (offending and
-clean), the RL013 static model ⇄ ``REPRO_PARITY`` runtime lockstep
-cross-validation in *both* directions on the shared mini-core fixtures
-(mirroring the RL001/ClairvoyanceGuard pattern), the RL015 static ⇄
-``repro obs explain --strict`` runtime cross-validation, the shipped
-tree's finding-free verdict (and its non-vacuity: the real engine cores
-opt into the parity model), the ruleset-source cache invalidation
-regression, and ``--jobs`` bit-identity with the new rules active.
+Covers the three program rules on their fixture packages (offending and
+clean), the RL015 static ⇄ ``repro obs explain --strict`` runtime
+cross-validation, the shipped tree's finding-free verdict (and its
+non-vacuity: the engine core sits in RL014's lifecycle scope), the
+ruleset-source cache invalidation regression, and ``--jobs``
+bit-identity with the new rules active.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib
 import importlib.util
 import json
 import os
@@ -36,24 +33,16 @@ from repro.lint import (
 from repro.lint.base import Rule
 from repro.lint.dataflow import extract_summary, module_name_for
 from repro.lint.dataflow.cache import ruleset_digest
-from repro.lint.invariants.parity import COMPARED_METHODS, extract_core_model
+from repro.lint.invariants.typestate import LifecycleTypestateRule
 
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
-PARITY_PKG = FIXTURES / "parity_pkg"
-PARITY_DRIFT_PKG = FIXTURES / "parity_drift_pkg"
 TYPESTATE_PKG = FIXTURES / "typestate_pkg"
 VOCAB_BAD_PKG = FIXTURES / "vocab_bad_pkg"
 VOCAB_CLEAN_PKG = FIXTURES / "vocab_clean_pkg"
 MONOTONE_PKG = FIXTURES / "monotone_pkg"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-INVARIANT_CODES = {"RL013", "RL014", "RL015", "RL016"}
-
-#: Shared workload for the static ⇄ runtime parity cross-validation.
-#: Two same-time arrivals (cohort path), a later arrival that queues
-#: behind a running job, and a same-time arrival pair at t=4.
-JOBS = [(10, 0.0, 2.0), (11, 0.0, 1.0), (12, 1.5, 0.5), (13, 4.0, 3.0), (14, 4.0, 1.0)]
-EXPECTED_STARTS = {10: 0.0, 11: 2.0, 12: 3.0, 13: 4.0, 14: 7.0}
+INVARIANT_CODES = {"RL014", "RL015", "RL016"}
 
 
 def codes(findings) -> set[str]:
@@ -66,13 +55,6 @@ def by_rule(findings, code: str):
 
 def invariant_findings(report):
     return [f for f in report.findings if f.rule in INVARIANT_CODES]
-
-
-def _import_fixture_module(dotted: str):
-    """Import ``parity_pkg.object_core``-style fixture modules."""
-    if str(FIXTURES) not in sys.path:
-        sys.path.insert(0, str(FIXTURES))
-    return importlib.import_module(dotted)
 
 
 def _program_for(*files: Path) -> Program:
@@ -125,124 +107,6 @@ class TestInvariantRulePlumbing:
         assert proc.returncode == 0, proc.stderr
         assert code in proc.stdout
         assert "Offending" in proc.stdout
-
-
-# ---------------------------------------------------------------------------
-# RL013 core-parity-drift: static side
-# ---------------------------------------------------------------------------
-
-
-class TestRL013Static:
-    def test_clean_pair_has_no_findings(self):
-        report = lint_paths([PARITY_PKG])
-        assert by_rule(report.findings, "RL013") == []
-
-    def test_drift_pair_findings(self):
-        report = lint_paths([PARITY_DRIFT_PKG])
-        found = by_rule(report.findings, "RL013")
-        assert len(found) == 5
-        assert all(f.path.endswith("columnar_core.py") for f in found)
-        messages = [f.message for f in found]
-        # Drift 1: a field written in one core with no mapping/annotation.
-        unmapped = [m for m in messages if "no _PARITY_FIELDS mapping" in m]
-        assert len(unmapped) == 1 and "'retries'" in unmapped[0]
-        # Drift 2: an exception only one core's closure can raise.
-        exc = [m for m in messages if "can produce exception" in m]
-        assert len(exc) == 1 and "SimulationError" in exc[0]
-        # Drift 3: a wrong-side annotation contradicting _PARITY_CORE.
-        # It fires once per compared method that reaches the write
-        # (_start_job is a one-level callee of both handlers).
-        wrong_side = [m for m in messages if "the annotation contradicts" in m]
-        assert len(wrong_side) == 3
-        syms = {f.symbol for f in found if "the annotation contradicts" in f.message}
-        assert syms == {
-            "DriftingColumnarCore._handle_arrival",
-            "DriftingColumnarCore._handle_completion",
-            "DriftingColumnarCore._start_job",
-        }
-
-    def test_extract_core_model_is_not_vacuous(self):
-        program = _program_for(
-            PARITY_PKG / "object_core.py", PARITY_PKG / "columnar_core.py"
-        )
-        obj = extract_core_model(program, "parity_pkg.object_core")
-        col = extract_core_model(program, "parity_pkg.columnar_core")
-        assert obj is not None and col is not None
-        assert obj.side == "object" and col.side == "columnar"
-        # Peers are mutual — that is what arms the pairwise comparison.
-        assert obj.peer == "parity_pkg.columnar_core"
-        assert col.peer == "parity_pkg.object_core"
-        obj_tokens = set().union(*(obj.tokens(m) for m in obj.writes))
-        col_tokens = set().union(*(col.tokens(m) for m in col.writes))
-        assert obj_tokens == col_tokens
-        assert {"start-time", "lifecycle", "busy-until", "pending-index"} >= obj_tokens
-        assert obj_tokens  # the model actually saw writes
-
-    def test_extract_core_model_requires_opt_in(self):
-        program = _program_for(MONOTONE_PKG / "clean.py")
-        assert extract_core_model(program, "monotone_pkg.clean") is None
-
-
-# ---------------------------------------------------------------------------
-# RL013 cross-validation: static model ⇄ runtime lockstep on shared fixtures
-# ---------------------------------------------------------------------------
-
-
-class TestRL013CrossValidation:
-    """Both directions, mirroring RL001/ClairvoyanceGuard.
-
-    The clean pair passes the static rule AND runs identically; the
-    drift pair is flagged statically AND diverges at runtime.  The two
-    catchers overlap but are not redundant: the ``retries`` field drift
-    is invisible at runtime (it never changes the schedule), while the
-    ``start_col = arrival`` drift is invisible statically (the write is
-    mapped) — each side catches what the other cannot.
-    """
-
-    def test_clean_pair_static_and_runtime_agree(self):
-        report = lint_paths([PARITY_PKG])
-        assert by_rule(report.findings, "RL013") == []
-
-        obj_mod = _import_fixture_module("parity_pkg.object_core")
-        col_mod = _import_fixture_module("parity_pkg.columnar_core")
-        obj = obj_mod.ObjectMiniCore().run(JOBS)
-        fast = col_mod.ColumnarMiniCore().run(JOBS)
-        armed = col_mod.ColumnarMiniCore().run(JOBS, armed=True)
-        assert obj == fast == armed == EXPECTED_STARTS
-
-    def test_drift_pair_caught_statically_and_at_runtime(self):
-        report = lint_paths([PARITY_DRIFT_PKG])
-        assert len(by_rule(report.findings, "RL013")) == 5
-
-        obj_mod = _import_fixture_module("parity_drift_pkg.object_core")
-        col_mod = _import_fixture_module("parity_drift_pkg.columnar_core")
-        obj = obj_mod.ObjectMiniCore().run(JOBS)
-        drifted = col_mod.DriftingColumnarCore().run(JOBS)
-        assert obj == EXPECTED_STARTS
-        assert drifted != obj
-        # The runtime-only drift: starts recorded at arrival, not clock.
-        assert drifted[12] == 1.5 and obj[12] == 3.0
-
-    def test_runtime_only_drift_is_statically_invisible(self):
-        # 'start_col' is mapped in _PARITY_FIELDS on both sides, so the
-        # wrong *value* written to it cannot be a static finding — that
-        # is exactly what the REPRO_PARITY=1 lockstep twin exists for
-        # (see tests/test_core_parity.py for the real-engine half).
-        report = lint_paths([PARITY_DRIFT_PKG])
-        assert not any(
-            "start_col" in f.message for f in by_rule(report.findings, "RL013")
-        )
-
-    def test_compared_methods_cover_real_engine_event_loop(self):
-        # The method list the model compares is the real engine's
-        # dispatch surface, not an arbitrary fixture convention.
-        from repro.core.engine import Simulator
-
-        assert {"_handle_arrival", "_handle_completion", "_start_job"} <= set(
-            COMPARED_METHODS
-        )
-        for name in ("_handle_arrival", "_handle_completion", "_start_job"):
-            assert hasattr(Simulator, name)
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +266,21 @@ class TestShippedTree:
         assert offenders == [], [f.render() for f in offenders]
         assert report.files_scanned > 50
 
-    def test_real_engine_cores_opt_into_parity_model(self):
-        # The clean verdict above is a real comparison, not a vacuous
-        # pass: both engine cores declare sides, mutual peers, and a
-        # shared field vocabulary.
-        src = REPO_ROOT / "src" / "repro" / "core"
-        program = _program_for(src / "engine.py", src / "columnar.py")
-        obj = extract_core_model(program, "repro.core.engine")
-        col = extract_core_model(program, "repro.core.columnar")
-        assert obj is not None and col is not None
-        assert obj.side == "object" and col.side == "columnar"
-        assert obj.peer == "repro.core.columnar"
-        assert col.peer == "repro.core.engine"
-        obj_tokens = set().union(*(obj.tokens(m) for m in obj.writes))
-        col_tokens = set().union(*(col.tokens(m) for m in col.writes))
-        assert obj_tokens and col_tokens
-        assert obj.kinds and col.kinds
+    def test_engine_core_is_in_lifecycle_scope(self):
+        # The clean verdict above is a real check, not a vacuous pass:
+        # the engine core defines the lifecycle state constants, so
+        # RL014 inspects every state write in it.
+        core = REPO_ROOT / "src" / "repro" / "core" / "columnar.py"
+        program = _program_for(core)
+        summary = program.modules["repro.core.columnar"]
+        assert LifecycleTypestateRule._in_scope(summary)
+        written = {
+            value
+            for cls in summary.classes.values()
+            for fn in cls.methods.values()
+            for _field, value, _line, _col in fn.state_writes
+        }
+        assert {"_ADMITTED", "_PENDING", "_RUNNING", "_DONE"} <= written
 
 
 # ---------------------------------------------------------------------------

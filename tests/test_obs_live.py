@@ -7,8 +7,8 @@ The load-bearing claims (see ``docs/observability.md``):
   feed order, equals the certified offline
   :func:`~repro.offline.lower_bounds.span_lower_bound` when fed in
   nondecreasing arrival order, and never exceeds it in any order;
-* replaying real engine traces (all five paper schedulers × both
-  engine cores) through :class:`TenantTelemetry` keeps the LB monotone
+* replaying real engine traces (all five paper schedulers) through
+  :class:`TenantTelemetry` keeps the LB monotone
   at every record, ends ≤ the certified reference, reproduces the
   engine's span exactly, and therefore reports a ratio ≥ 1.
 """
@@ -38,7 +38,6 @@ from repro.workloads import WorkloadSpec, generate
 #: The five schedulers the paper analyses (§3–§6).
 PAPER_SCHEDULERS = ("batch", "batch+", "cdb", "epoch-batch", "profit")
 CLAIRVOYANT = {"cdb", "profit"}
-CORES = ("object", "columnar")
 
 
 def _brute_union(intervals: list[tuple[float, float]]) -> float:
@@ -168,26 +167,24 @@ def _replay(records) -> tuple[TenantTelemetry, bool]:
 
 
 class TestTraceReplayProperties:
-    """All five paper schedulers × both cores on seeded instances."""
+    """All five paper schedulers on seeded instances."""
 
-    @pytest.mark.parametrize("core", CORES)
     @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
     @pytest.mark.parametrize("seed", (7, 23))
-    def test_lb_monotone_sound_and_span_exact(self, name, core, seed):
+    def test_lb_monotone_sound_and_span_exact(self, name, seed):
         inst = generate(WorkloadSpec(n=50, laxity_scale=1.5), seed=seed)
         recorder = TraceRecorder()
         result = Simulator(
             make_scheduler(name),
             instance=inst,
-            core=core,
             recorder=recorder,
             clairvoyant=name in CLAIRVOYANT,
         ).run()
         telemetry, monotone = _replay(recorder.records)
-        assert monotone, f"{name}/{core}: LB decreased during replay"
+        assert monotone, f"{name}: LB decreased during replay"
         reference = span_lower_bound(inst)
         assert telemetry.lb.value <= reference + 1e-9, (
-            f"{name}/{core}: live LB {telemetry.lb.value} exceeds "
+            f"{name}: live LB {telemetry.lb.value} exceeds "
             f"certified reference {reference}"
         )
         assert telemetry.span == pytest.approx(result.span, rel=1e-9)

@@ -11,11 +11,18 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import threading
 
 import pytest
 
 from repro.cli import main
-from repro.serve.checkpoint import list_checkpoints, restore_session
+from repro.serve import daemon as daemon_module
+from repro.serve.checkpoint import (
+    list_checkpoints,
+    restore_all,
+    restore_session,
+    save_checkpoint,
+)
 from repro.serve.daemon import ServeDaemon
 from repro.serve.session import TenantSession
 
@@ -565,6 +572,62 @@ class TestDaemonRestore:
             assert "closed" in err["error"]
             await client2.close()
             await stop_daemon(daemon2, task2)
+
+        run_async(scenario())
+
+
+class TestDaemonRestoreRace:
+    def test_connection_waits_for_restore_before_ready(
+        self, tmp_path, monkeypatch
+    ):
+        """A client that connects while checkpoints are still replaying
+        must see the restored tenants, and its first op must reach the
+        restored session — not a fresh one that would later overwrite
+        the checkpoint."""
+        ckpt = tmp_path / "ckpt"
+        session = TenantSession("t1")
+        session.hello()
+        for i in range(3):
+            session.apply(job_line("t1", i, float(i), i + 1.0, 0.5))
+        session.apply({"op": "advance", "tenant": "t1", "t": 20.0})
+        save_checkpoint(session, ckpt)
+
+        gate = threading.Event()
+
+        def gated_restore_all(directory):
+            assert gate.wait(TIMEOUT), "restore gate never opened"
+            return restore_all(directory)
+
+        monkeypatch.setattr(daemon_module, "restore_all", gated_restore_all)
+
+        async def scenario():
+            daemon = ServeDaemon(checkpoint_dir=ckpt, restore=True)
+            sock = tmp_path / "serve.sock"
+            task = asyncio.create_task(daemon.run_unix(sock))
+            try:
+                while not sock.exists():
+                    await asyncio.sleep(0.01)
+                client = await Client.connect(sock)
+                await client.send(job_line("t1", 99, 0.5, 3.0))
+                first = asyncio.ensure_future(client.reader.readline())
+                done, _ = await asyncio.wait({first}, timeout=0.5)
+                assert not done, "serve.ready sent before restore finished"
+                gate.set()
+                ready = json.loads(await asyncio.wait_for(first, 10.0))
+                assert ready["kind"] == "serve.ready"
+                assert ready["tenants"] == ["t1"]
+                err = await client.recv()
+                assert err["kind"] == "serve.error"
+                assert "past" in err["error"]
+                await client.close()
+            finally:
+                gate.set()
+                await stop_daemon(daemon, task)
+            # The drain closed the restored session; its log kept every
+            # pre-restart op (a fresh session would have logged one job).
+            restored = restore_session(list_checkpoints(ckpt)[0])
+            assert restored.input_log[:4] == session.input_log
+            assert restored.clock == 20.0
 
         run_async(scenario())
 

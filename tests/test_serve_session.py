@@ -78,7 +78,7 @@ class TestSessionBasics:
 
     def test_closed_record_matches_batch_span(self):
         inst = Instance.from_triples([(0, 2, 1), (0.5, 1, 3), (4, 1, 2)])
-        batch = simulate(make_scheduler("batch+"), inst, core="object")
+        batch = simulate(make_scheduler("batch+"), inst)
         session = TenantSession("t1")
         outs = drive(
             session, [(j.arrival, j.deadline, j.length) for j in inst.jobs]
@@ -151,6 +151,15 @@ class TestSessionFailureContainment:
         with pytest.raises(ProtocolError, match="not a stream op"):
             session.apply({"op": "stats"})
 
+    def test_job_id_beyond_int64_rejected_session_live(self):
+        session = TenantSession("t1")
+        session.hello()
+        with pytest.raises(SimulationError, match="int64"):
+            session.apply(job_op("t1", 2**64, 0.0, 1.0, 1.0))
+        assert session.failed is None
+        session.apply(job_op("t1", 1, 0.0, 1.0, 1.0))
+        assert session.input_log == [job_op("t1", 1, 0.0, 1.0, 1.0)]
+
     def test_mid_dispatch_failure_poisons(self, monkeypatch):
         session = TenantSession("t1")
         session.hello()
@@ -189,7 +198,7 @@ class TestSessionCohortParity:
         inst = Instance.from_triples(
             [(0, 4, 3), (0, 4, 2), (0, 4, 3), (3, 4, 1)]
         )
-        batch = simulate(make_scheduler("batch+"), inst, core="object")
+        batch = simulate(make_scheduler("batch+"), inst)
         session = TenantSession("t1")
         outs = drive(
             session, [(j.arrival, j.deadline, j.length) for j in inst.jobs]
