@@ -136,6 +136,9 @@ _OBS_EVENT_COUNTERS = (
 #: The gatherable-kind mask while a recorder is armed: no cohorts.
 _NO_COHORTS = (False,) * 6
 
+#: The largest job id the int64 ``ids`` column holds.
+_MAX_ID = int(np.iinfo(np.int64).max)
+
 _MISSING: Any = object()
 
 _F64 = NDArray[np.float64]
@@ -850,13 +853,7 @@ class ColumnarCore:
         one-job :meth:`_admit_jobs`, without its slice assignments.
         """
         self._check_admission(job)
-        table = self._table
-        try:
-            idx = table.append_job(job, self._clairvoyant)
-        except OverflowError:
-            raise SimulationError(
-                f"job id {job.id} does not fit the engine's int64 id column"
-            ) from None
+        idx = self._table.append_job(job, self._clairvoyant)
         self._record_release(job, idx)
         self._views.append(None)
         self._queue.push(job.arrival, _ARRIVAL, idx)
@@ -864,7 +861,8 @@ class ColumnarCore:
             self._obs.counter_add("engine.jobs_admitted")
 
     def _check_admission(self, job: Job) -> None:
-        """Admission checks in order: duplicate id, past arrival, length."""
+        """Admission checks in order: duplicate id, past arrival, length,
+        then an id the int64 ``ids`` column can hold."""
         jid = job.id
         if jid in self._table.idx_of:
             raise SimulationError(f"duplicate job id {jid} admitted")
@@ -883,6 +881,10 @@ class ColumnarCore:
                     "adversary-controlled lengths are incompatible with "
                     "the clairvoyant information model"
                 )
+        if jid > _MAX_ID:
+            raise SimulationError(
+                f"job id {jid} does not fit the engine's int64 id column"
+            )
 
     def _record_release(self, job: Job, idx: int) -> None:
         """Map the job's id to its row; emit its RELEASE trace and obs record."""

@@ -16,8 +16,9 @@ emission order.  The format round-trips losslessly through
 
 The versioned header + atomic-write discipline is shared with other
 subsystems through the generic pair :func:`dump_jsonl` /
-:func:`scan_jsonl` — ``repro.serve`` checkpoints ride on it, which is why
-the writer is hardened: a unique ``mkstemp`` temp file per writer (two
+:func:`scan_jsonl` (:func:`parse_jsonl` for lines already read) —
+``repro.serve`` checkpoint journals ride on it, which is why the writer
+is hardened: a unique ``mkstemp`` temp file per writer (two
 concurrent writers to the same target can never clobber each other's
 half-written file), ``fsync`` before the rename (a checkpoint that
 ``os.replace`` has published must be durable), and a ``finally`` cleanup
@@ -42,6 +43,7 @@ __all__ = [
     "JSONL_VERSION",
     "LoadedTrace",
     "dump_jsonl",
+    "parse_jsonl",
     "read_jsonl",
     "scan_jsonl",
     "write_jsonl",
@@ -125,36 +127,47 @@ def scan_jsonl(
     legitimate writer emits at least the header line.
     """
     source = Path(path)
+    with source.open("r", encoding="utf-8") as fh:
+        return parse_jsonl(fh, source)
+
+
+def parse_jsonl(
+    lines: Iterable[str], source: "str | os.PathLike[str]"
+) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """:func:`scan_jsonl` over lines already read; ``source`` names them.
+
+    For readers that must look at the raw lines first (the serve
+    checkpoint journal drops a torn final line before parsing).
+    """
     meta: dict[str, Any] | None = None
     records: list[dict[str, Any]] = []
-    with source.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{source}:{lineno}: invalid JSON: {exc}") from None
-            if meta is None:
-                if not isinstance(obj, dict) or obj.get("kind") != "meta":
-                    raise ValueError(
-                        f"{source}: not a versioned repro JSONL file "
-                        "(first line must be meta)"
-                    )
-                version = obj.get("version")
-                if version != JSONL_VERSION:
-                    raise ValueError(
-                        f"{source}: unsupported trace version {version!r} "
-                        f"(this reader speaks {JSONL_VERSION})"
-                    )
-                meta = {k: v for k, v in obj.items() if k != "kind"}
-                continue
-            if not isinstance(obj, dict):
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source}:{lineno}: invalid JSON: {exc}") from None
+        if meta is None:
+            if not isinstance(obj, dict) or obj.get("kind") != "meta":
                 raise ValueError(
-                    f"{source}:{lineno}: record is not a JSON object"
+                    f"{source}: not a versioned repro JSONL file "
+                    "(first line must be meta)"
                 )
-            records.append(obj)
+            version = obj.get("version")
+            if version != JSONL_VERSION:
+                raise ValueError(
+                    f"{source}: unsupported trace version {version!r} "
+                    f"(this reader speaks {JSONL_VERSION})"
+                )
+            meta = {k: v for k, v in obj.items() if k != "kind"}
+            continue
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"{source}:{lineno}: record is not a JSON object"
+            )
+        records.append(obj)
     if meta is None:
         raise ValueError(
             f"{source}: empty file is not a valid trace (missing meta header)"

@@ -1,18 +1,33 @@
 """Event-sourced checkpoints for serve sessions.
 
 A checkpoint is **not** pickled engine state.  It is the session's
-input-op log plus its emitted-output counter, written through the same
-versioned, atomic JSONL sink the observability traces use
-(:func:`repro.obs.jsonl.dump_jsonl`): a meta header, then one ``op`` row
-per logged input op.  Restoring replays the log through a fresh
+input-op log plus its emitted-output counter, kept as a versioned JSONL
+journal (the format the observability traces use, see
+:mod:`repro.obs.jsonl`).  Restoring replays the log through a fresh
 deterministic session, suppressing the first ``emitted`` regenerated
 output records — so a killed daemon resumes without re-admitting started
 jobs and the records it emits after restore are bit-identical to the
 ones the uninterrupted daemon would have emitted.
 
-Layout: ``<checkpoint-dir>/<tenant>.ckpt.jsonl``, one file per tenant,
-atomically replaced on every save (a crash mid-checkpoint leaves the
-previous checkpoint intact, never a torn file).
+Layout: ``<checkpoint-dir>/<tenant>.ckpt.jsonl``, one append-only
+journal per tenant::
+
+    {"kind": "meta", "version": 1, "tool": "repro.serve", "tenant": ...,
+     "scheduler": ..., "emitted": ..., "closed": ..., "clock": ..., "ops": N}
+    {"kind": "op", "data": {...}}                  N op rows
+    {"kind": "op", "data": {...}}                  ops logged since then
+    {"kind": "mark", "ops": ..., "emitted": ..., "clock": ..., "closed": ...}
+    ...                                            one block per later save
+
+A session's first save writes the header and its whole op log
+atomically (:func:`repro.obs.jsonl.dump_jsonl`: ``mkstemp``, ``fsync``,
+``os.replace``).  Every later save appends the ops logged since the
+previous save plus one sealing ``mark`` row in a single write, then
+fsyncs, so a save costs the new ops, not the whole log.  The header and
+each mark are *seals*: :func:`load_checkpoint` returns the state at the
+last one, dropping op rows after it and a torn final line, so a crash
+mid-append restores the previous save.  A restored session's first save
+rewrites (compacts) the file.
 
 Verification fans out over the process pool: :func:`verify_checkpoints`
 replays every checkpoint in parallel via
@@ -23,10 +38,12 @@ checkpoints validates at full core count.
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 from typing import Any
 
-from ..obs.jsonl import dump_jsonl, scan_jsonl
+from ..obs.jsonl import dump_jsonl, parse_jsonl
 from ..perf.parallel import ParallelRunner, get_default_runner
 from .session import TenantSession
 
@@ -44,6 +61,8 @@ __all__ = [
 
 CHECKPOINT_SUFFIX = ".ckpt.jsonl"
 _TOOL = "repro.serve"
+#: The session counters a seal (header or ``mark`` row) records.
+_SEAL_KEYS = ("ops", "emitted", "clock", "closed")
 
 
 def checkpoint_path(directory: "str | Path", tenant: str) -> Path:
@@ -52,40 +71,110 @@ def checkpoint_path(directory: "str | Path", tenant: str) -> Path:
 
 
 def save_checkpoint(session: TenantSession, directory: "str | Path") -> str:
-    """Atomically write ``session``'s checkpoint; returns the path."""
-    meta, rows = session.checkpoint_state()
+    """Durably save ``session``'s checkpoint; returns the path.
+
+    The journal already holds every op but the last
+    ``ops_since_checkpoint``.  When it holds none (a session's first
+    save, or a restored session's, whose replay counts as new ops) the
+    file is rewritten atomically; otherwise the missing ops and a
+    sealing mark are appended, so every save of one session must go to
+    the same ``directory``.
+    """
     path = checkpoint_path(directory, session.tenant)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    result = dump_jsonl(path, rows, tool=_TOOL, **meta)
+    saved = len(session.input_log) - session.ops_since_checkpoint
+    if saved:
+        _append(path, session, saved)
+    else:
+        meta, rows = session.checkpoint_state()
+        dump_jsonl(path, rows, tool=_TOOL, **meta)
     session.ops_since_checkpoint = 0
-    return result
+    return str(path)
+
+
+def _append(path: Path, session: TenantSession, saved: int) -> None:
+    """Append the ops after the first ``saved`` and a mark; fsync.
+
+    One write, so a crash leaves at most one torn final line.  A write
+    or fsync that fails is cut back off, so the file still ends at its
+    last seal and the next save appends the same ops again.
+    """
+    log = session.input_log
+    lines = [json.dumps({"kind": "op", "data": op}) for op in log[saved:]]
+    lines.append(
+        json.dumps(
+            {
+                "kind": "mark",
+                "ops": len(log),
+                "emitted": session.emitted,
+                "clock": session.clock,
+                "closed": session.closed,
+            }
+        )
+    )
+    data = memoryview(("\n".join(lines) + "\n").encode())
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        end = os.fstat(fd).st_size
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+            os.fsync(fd)
+        except OSError:
+            os.ftruncate(fd, end)
+            raise
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(
     path: "str | Path",
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read a checkpoint file back as ``(meta, ops)``.
+    """Read a checkpoint journal back as ``(meta, ops)`` at its last seal.
 
-    Raises ``ValueError`` on version/tool mismatches or malformed rows
-    (the same contract as the trace reader — both ride
-    :func:`repro.obs.jsonl.scan_jsonl`).
+    ``meta`` is the header with the last mark's counters merged in;
+    ``ops`` are the op rows that seal covers.  Op rows after it and a
+    final line that is neither newline-terminated nor valid JSON (an
+    append cut short) are dropped.  Raises ``ValueError`` on
+    version/tool mismatches, bad JSON anywhere else, malformed or
+    unknown rows, a mark whose op count disagrees with the rows before
+    it, and fewer op rows than the header declares.
     """
-    meta, rows = scan_jsonl(path)
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    try:
+        json.loads(lines[-1])
+    except ValueError:
+        lines.pop()  # "" after the final newline, or a torn append
+    meta, rows = parse_jsonl(lines, path)
     if meta.get("tool") != _TOOL:
         raise ValueError(
             f"{path}: not a serve checkpoint (tool={meta.get('tool')!r})"
         )
     ops: list[dict[str, Any]] = []
+    seal: dict[str, Any] | None = None
     for row in rows:
-        if row.get("kind") != "op" or not isinstance(row.get("data"), dict):
+        kind = row.get("kind")
+        if kind == "op" and isinstance(row.get("data"), dict):
+            ops.append(row["data"])
+        elif kind == "mark" and all(key in row for key in _SEAL_KEYS):
+            if row["ops"] != len(ops):
+                raise ValueError(
+                    f"{path}: mark declares {row['ops']!r} ops after "
+                    f"{len(ops)} op rows"
+                )
+            seal = row
+        else:
             raise ValueError(f"{path}: malformed checkpoint row {row!r}")
-        ops.append(dict(row["data"]))
     declared = meta.get("ops")
-    if isinstance(declared, int) and declared != len(ops):
+    if isinstance(declared, int) and declared > len(ops):
         raise ValueError(
             f"{path}: truncated checkpoint (meta declares {declared} ops, "
             f"file holds {len(ops)})"
         )
+    if seal is not None:
+        meta.update((key, seal[key]) for key in _SEAL_KEYS)
+        del ops[seal["ops"] :]
+    elif isinstance(declared, int):
+        del ops[declared:]
     return meta, ops
 
 
@@ -115,7 +204,10 @@ def restore_all(directory: "str | Path") -> dict[str, TenantSession]:
 def replay_summary(path: str) -> dict[str, Any]:
     """Replay one checkpoint and summarise the rebuilt session.
 
-    Top-level and string-argumented on purpose: this is the body
+    Raises ``ValueError`` when the replayed clock, closed flag or
+    emitted count differs from the checkpoint's last seal, so a stale or
+    hand-edited checkpoint fails loudly instead of restoring silently
+    wrong.  Top-level and string-argumented on purpose: this is the body
     :func:`verify_checkpoints` ships to pool workers, so it must stay
     picklable under the spawn start method.
     """
@@ -129,6 +221,12 @@ def replay_summary(path: str) -> dict[str, Any]:
         "clock": session.clock,
         "closed": session.closed,
     }
+    for key in ("clock", "closed", "emitted"):
+        if key in meta and meta[key] != summary[key]:
+            raise ValueError(
+                f"{path}: replay diverged from checkpoint meta "
+                f"({key}: meta={meta[key]!r}, replay={summary[key]!r})"
+            )
     if session.result is not None:
         summary["span"] = session.result.span
         summary["jobs"] = len(session.result.instance.jobs)
@@ -141,23 +239,12 @@ def verify_checkpoints(
     """Replay every checkpoint under ``directory`` (pool fan-out).
 
     Returns one :func:`replay_summary` dict per checkpoint, in tenant
-    order.  Each replay additionally cross-checks the rebuilt clock and
-    closed flag against the checkpoint's own meta header, so a stale or
-    hand-edited checkpoint fails loudly instead of restoring silently
-    wrong.  A raising replay propagates (``ParallelRunner`` does not
+    order; each replay is cross-checked against its checkpoint's last
+    seal.  A raising replay propagates (``ParallelRunner`` does not
     retry task failures serially).
     """
     paths = [str(p) for p in list_checkpoints(directory)]
     if not paths:
         return []
     active = runner if runner is not None else get_default_runner()
-    summaries = active.map(replay_summary, paths)
-    for path, summary in zip(paths, summaries):
-        meta, _ = scan_jsonl(path)
-        for key in ("clock", "closed", "emitted"):
-            if key in meta and meta[key] != summary[key]:
-                raise ValueError(
-                    f"{path}: replay diverged from checkpoint meta "
-                    f"({key}: meta={meta[key]!r}, replay={summary[key]!r})"
-                )
-    return summaries
+    return active.map(replay_summary, paths)

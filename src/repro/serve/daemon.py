@@ -545,8 +545,8 @@ class ServeDaemon:
         """Apply one op to a tenant (worker task only: single-writer).
 
         Session mutation itself is pure CPU and stays on the loop, but
-        checkpoint/trace persistence is real file I/O (atomic-rename
-        JSONL dumps) and runs in a worker thread (RL017).  Single-writer
+        checkpoint/trace persistence is real file I/O (fsynced JSONL
+        writes) and runs in a worker thread (RL017).  Single-writer
         still holds: the tenant worker awaits this coroutine before
         taking the next op, so the session is never touched by two
         threads at once.

@@ -114,7 +114,8 @@ class TenantSession:
         self.closed = False
         self.failed: str | None = None
         self.result: SimulationResult | None = None
-        #: Ops applied since the last checkpoint (daemon's cadence counter).
+        #: Ops applied since the last checkpoint: the daemon's cadence
+        #: counter, and the tail of ``input_log`` the journal lacks.
         self.ops_since_checkpoint = 0
 
     # ------------------------------------------------------------------- api

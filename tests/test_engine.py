@@ -166,6 +166,23 @@ class TestViolations:
         with pytest.raises(SimulationError):
             simulate(Eager(), inst)
 
+    @pytest.mark.parametrize("armed", [False, True], ids=["disarmed", "armed"])
+    @pytest.mark.parametrize("jid", [2**63, 2**64], ids=["2^63", "2^64"])
+    def test_batch_job_id_beyond_int64_rejected(self, jid, armed):
+        """Batch admission rejects the id before recording its release,
+        as streaming admission does."""
+        recorder = TraceRecorder() if armed else None
+        inst = Instance([Job(0, 0.0, 1.0, 1.0), Job(jid, 0.0, 1.0, 1.0)])
+        with pytest.raises(SimulationError, match="int64"):
+            simulate(make_scheduler("batch+"), inst, recorder=recorder)
+        if recorder is not None:
+            released = [
+                r.attrs["job"]
+                for r in recorder.records
+                if r.name == "engine.release"
+            ]
+            assert released == [0]
+
 
 class TestContext:
     def test_pending_sorted_by_deadline(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +213,134 @@ class TestCorruptCheckpoints:
         assert meta["tool"] == "repro.serve"
         first = json.loads(open(path).readline())
         assert first["kind"] == "meta"
+
+
+#: Ten jobs and a close, checkpointed at the daemon's cadence every
+#: ``SAVE_EVERY`` ops and after the close: one rewrite, then three appends.
+STREAM = [(i, 0.5 * i, 0.5 * i + 2.0 + i % 3, 1.0 + i % 2) for i in range(10)]
+SAVE_EVERY = 3
+
+
+def stream_ops(tenant="t1"):
+    ops = [job_op(tenant, jid, a, d, p) for jid, a, d, p in STREAM]
+    return ops + [{"op": "close", "tenant": tenant}]
+
+
+def journaled(directory, ops):
+    """Apply ``ops`` to a fresh session, saving as the daemon does.
+
+    Returns the session, its outputs and one ``(bytes, ops, emitted)``
+    triple per save: the file after the save and the counts it sealed.
+    """
+    session = TenantSession("t1")
+    outs = list(session.hello())
+    saves = []
+    for op in ops:
+        outs += session.apply(op)
+        if op["op"] == "close" or session.ops_since_checkpoint >= SAVE_EVERY:
+            path = save_checkpoint(session, directory)
+            saves.append(
+                (Path(path).read_bytes(), len(session.input_log),
+                 session.emitted)
+            )
+    return session, outs, saves
+
+
+class TestJournal:
+    def test_each_save_appends_to_the_previous_file(self, tmp_path):
+        _, _, saves = journaled(tmp_path, stream_ops())
+        assert len(saves) == 4
+        for (before, _, _), (after, _, _) in zip(saves, saves[1:]):
+            assert len(after) > len(before)
+            assert after.startswith(before)
+
+    def test_cut_anywhere_in_the_last_append_restores_a_seal(self, tmp_path):
+        """A crash mid-append leaves any prefix of it on disk: the load
+        falls back to the previous seal until the closing mark row is
+        complete, and restoring there and re-sending the rest rebuilds
+        the uninterrupted session's outputs exactly."""
+        ops = stream_ops()
+        _, full_outs, saves = journaled(tmp_path / "run", ops)
+        (before, *prev), (after, *last) = saves[-2:]
+        path = tmp_path / f"t1{CHECKPOINT_SUFFIX}"
+        for cut in range(len(before), len(after) + 1):
+            path.write_bytes(after[:cut])
+            # The mark row is complete once only its newline is missing.
+            n, emitted = last if cut >= len(after) - 1 else prev
+            meta, logged = load_checkpoint(path)
+            assert (meta["ops"], meta["emitted"]) == (n, emitted), cut
+            assert logged == ops[:n], cut
+            restored = restore_session(path)
+            post = []
+            for op in ops[n:]:
+                post += restored.apply(op)
+            assert full_outs[:emitted] + post == full_outs, cut
+
+    def test_restored_session_first_save_compacts(self, tmp_path):
+        _, _, saves = journaled(tmp_path, stream_ops())
+        (before, *_), (after, *_) = saves[-2:]
+        path = tmp_path / f"t1{CHECKPOINT_SUFFIX}"
+        path.write_bytes(after[: (len(before) + len(after)) // 2])
+        restored = restore_session(path)
+        save_checkpoint(restored, tmp_path)
+        meta, rows = scan_jsonl(path)  # strict reader: no torn line
+        assert meta["ops"] == len(restored.input_log)
+        assert rows == [{"kind": "op", "data": op} for op in restored.input_log]
+
+    def test_failed_append_is_cut_back_off(self, tmp_path, monkeypatch):
+        """A save whose fsync fails leaves the file at its last seal, and
+        the next save appends the same ops again."""
+        ops = stream_ops()
+        session = TenantSession("t1")
+        session.hello()
+        for op in ops[:4]:
+            session.apply(op)
+        path = Path(save_checkpoint(session, tmp_path))
+        before = path.read_bytes()
+        for op in ops[4:6]:
+            session.apply(op)
+
+        def disk_full(fd):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", disk_full)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(session, tmp_path)
+        assert path.read_bytes() == before
+        save_checkpoint(session, tmp_path)
+        meta, logged = load_checkpoint(path)
+        assert logged == session.input_log == ops[:6]
+        assert meta["emitted"] == session.emitted
+
+    def test_mark_disagreeing_with_its_rows_rejected(self, tmp_path):
+        journaled(tmp_path, stream_ops())
+        path = checkpoint_path(tmp_path, "t1")
+        text = path.read_text()
+        assert '"kind": "mark", "ops": 6,' in text
+        path.write_text(
+            text.replace('"kind": "mark", "ops": 6,', '"kind": "mark", "ops": 5,')
+        )
+        with pytest.raises(ValueError, match="mark declares 5 ops"):
+            load_checkpoint(path)
+
+    def test_bad_json_before_the_final_line_rejected(self, tmp_path):
+        journaled(tmp_path, stream_ops())
+        path = checkpoint_path(tmp_path, "t1")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="invalid JSON"):
+            load_checkpoint(path)
+
+    def test_verify_checks_the_last_seal(self, tmp_path):
+        journaled(tmp_path, stream_ops())
+        path = checkpoint_path(tmp_path, "t1")
+        text = path.read_text()
+        summary, = verify_checkpoints(tmp_path, runner=ParallelRunner(workers=1))
+        assert summary["closed"] and summary["ops"] == len(STREAM) + 1
+        # A stale emitted count on the last mark is caught by replay.
+        head, sep, tail = text.rpartition('"emitted": ')
+        path.write_text(head + sep + "1" + tail[tail.index(","):])
+        with pytest.raises(ValueError, match="replay diverged"):
+            verify_checkpoints(tmp_path, runner=ParallelRunner(workers=1))
