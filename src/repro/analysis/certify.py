@@ -15,6 +15,7 @@ carries its certainty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.engine import simulate
@@ -58,6 +59,18 @@ class OptBracket:
         return self.upper - self.lower
 
 
+def _ratio(span: float, reference: float) -> float:
+    """``span / reference`` with 0/0 -> 1.0 and x/0 -> inf.
+
+    An empty run matched an empty optimum exactly, so its ratio is 1;
+    a positive span against a zero reference is unboundedly worse.  A
+    NaN reference (an uncertified bracket) gives NaN.
+    """
+    if reference > 0 or math.isnan(reference):
+        return span / reference
+    return 1.0 if span <= 0 else float("inf")
+
+
 @dataclass(frozen=True)
 class RatioBracket:
     """A certified bracket on a measured competitive ratio."""
@@ -68,12 +81,12 @@ class RatioBracket:
     @property
     def lower(self) -> float:
         """The ratio is at least this (span over OPT's upper bound)."""
-        return self.span / self.opt.upper if self.opt.upper > 0 else float("inf")
+        return _ratio(self.span, self.opt.upper)
 
     @property
     def upper(self) -> float:
         """The ratio is at most this (span over OPT's lower bound)."""
-        return self.span / self.opt.lower if self.opt.lower > 0 else float("inf")
+        return _ratio(self.span, self.opt.lower)
 
     @property
     def exact(self) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..core.engine import SimulationResult
 from ..core.metrics import overlap_fraction, parallelism, schedule_concurrency
-from .certify import OptBracket, bracket_optimum
+from .certify import OptBracket, RatioBracket, bracket_optimum
 from .decompose import decompose_span
 from .report import Table
 
@@ -39,11 +39,11 @@ class RunSummary:
 
     @property
     def ratio_lower(self) -> float:
-        return self.span / self.opt.upper if self.opt.upper > 0 else float("inf")
+        return RatioBracket(self.span, self.opt).lower
 
     @property
     def ratio_upper(self) -> float:
-        return self.span / self.opt.lower if self.opt.lower > 0 else float("inf")
+        return RatioBracket(self.span, self.opt).upper
 
     def render(self) -> str:
         table = Table(
@@ -61,7 +61,7 @@ class RunSummary:
         table.add("events processed", self.events)
         if self.opt.exact:
             table.add("competitive ratio (exact)", self.ratio_lower)
-        else:
+        elif self.opt.method != "skipped":
             table.add("ratio lower (vs offline UB)", self.ratio_lower)
             table.add("ratio upper (vs chain LB)", self.ratio_upper)
         return table.render()

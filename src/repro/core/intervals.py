@@ -124,9 +124,9 @@ class IntervalUnion:
     The union is stored as a sorted list of disjoint non-abutting
     :class:`Interval` components, so ``measure`` is a simple sum and
     membership queries are binary searches.  The structure is immutable
-    from the caller's perspective; mutating operations return new unions
-    except :meth:`add` on a :class:`MutableIntervalUnion`-style usage via
-    ``insert`` which is provided for the simulator's incremental needs.
+    from the caller's perspective: :meth:`union` and :meth:`insert`
+    return new unions.  A caller that grows a union in place uses
+    :class:`repro.core.intervalset.MutableIntervalSet` instead.
     """
 
     __slots__ = ("_components",)

@@ -2,12 +2,16 @@
 
 :class:`IntervalUnion` is immutable — every insert copies the component
 list, which is the right trade-off for schedule snapshots but quadratic
-when a scheduler (Doubler, GreedyCover) or the offline heuristics grow a
-committed union one interval at a time.  :class:`MutableIntervalSet`
-maintains the same canonical form (sorted, disjoint, non-abutting,
-half-open components) in place:
+when a caller grows a union one interval at a time, or rebuilds one per
+query.  :class:`MutableIntervalSet` maintains the same canonical form
+(sorted, disjoint, non-abutting, half-open components) in place.  Its
+users are the offline heuristics (``greedy_overlap`` grows the placed
+union job by job; ``local_search`` re-places each job against the other
+jobs' set) and the live telemetry plane (a tenant's observed span and
+the mandatory part of its online OPT lower bound):
 
 * ``add(lo, hi)``     — amortised O(log n + k) for k merged components;
+* ``from_sorted_pairs`` — O(n) for n pairs already sorted by start;
 * ``covers``, ``intersection_length``, ``added_measure`` — O(log n + k);
 * ``measure``         — O(1) (maintained incrementally).
 
@@ -19,7 +23,7 @@ pick by mutability need alone.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .intervals import Interval, IntervalUnion
 
@@ -35,6 +39,30 @@ class MutableIntervalSet:
         self._lefts: list[float] = []
         self._rights: list[float] = []
         self._measure = 0.0
+
+    @classmethod
+    def from_sorted_pairs(
+        cls, pairs: Iterable[tuple[float, float]]
+    ) -> "MutableIntervalSet":
+        """The set of ``(lo, hi)`` pairs given in nondecreasing ``lo``.
+
+        One merging pass, no sort: each pair extends the last component
+        when it overlaps or abuts it, else opens a new one.  Empty pairs
+        (``hi <= lo``) are dropped, as :meth:`add` drops them.
+        """
+        out = cls()
+        lefts, rights = out._lefts, out._rights
+        for lo, hi in pairs:
+            if hi <= lo:
+                continue
+            if rights and lo <= rights[-1]:
+                if hi > rights[-1]:
+                    rights[-1] = hi
+            else:
+                lefts.append(lo)
+                rights.append(hi)
+        out._measure = sum((r - l for l, r in zip(lefts, rights)), 0.0)
+        return out
 
     # -- mutation -----------------------------------------------------------
     def add(self, lo: float, hi: float) -> float:

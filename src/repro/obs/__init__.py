@@ -70,7 +70,6 @@ from .aggregate import (
 )
 from .explain import Explanation, JobStory, explain_trace
 from .live import (
-    IntervalUnion,
     LiveAggregator,
     OnlineOptLowerBound,
     TELEMETRY_ADDR_ENV,
@@ -87,7 +86,6 @@ __all__ = [
     "DiffEntry",
     "Explanation",
     "Histogram",
-    "IntervalUnion",
     "JSONL_VERSION",
     "JobStory",
     "LiveAggregator",

@@ -62,14 +62,15 @@ Knobs
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left, bisect_right
 from typing import Any, Mapping
 
+from ..core.intervalset import MutableIntervalSet
 from .records import KIND_DECISION, KIND_INSTANT, ObsRecord
 
 __all__ = [
-    "IntervalUnion",
     "LiveAggregator",
     "OnlineOptLowerBound",
     "TELEMETRY_ADDR_ENV",
@@ -111,60 +112,6 @@ def telemetry_addr(override: str | None = None) -> tuple[str, int] | None:
     return host, int(port)
 
 
-class IntervalUnion:
-    """Incremental union measure of half-open intervals ``[s, e)``.
-
-    Disjoint merged intervals live in two parallel sorted lists; each
-    ``add`` bisects for the overlap range, splices, and updates the
-    running ``total`` — amortized ``O(log n)`` because every merged
-    interval is removed at most once.  Touching intervals are merged
-    (identical measure, smaller lists).
-    """
-
-    __slots__ = ("_starts", "_ends", "total")
-
-    def __init__(self) -> None:
-        self._starts: list[float] = []
-        self._ends: list[float] = []
-        self.total = 0.0
-
-    def add(self, start: float, end: float) -> None:
-        """Fold ``[start, end)`` into the union (no-op when empty)."""
-        if end <= start:
-            return
-        starts, ends = self._starts, self._ends
-        lo = bisect_left(ends, start)
-        hi = bisect_right(starts, end)
-        if lo == hi:  # disjoint from everything
-            starts.insert(lo, start)
-            ends.insert(lo, end)
-            self.total += end - start
-            return
-        new_start = min(start, starts[lo])
-        new_end = max(end, ends[hi - 1])
-        removed = 0.0
-        for k in range(lo, hi):
-            removed += ends[k] - starts[k]
-        del starts[lo:hi]
-        del ends[lo:hi]
-        starts.insert(lo, new_start)
-        ends.insert(lo, new_end)
-        self.total += (new_end - new_start) - removed
-
-    def measure_until(self, t: float) -> float:
-        """Measure of the union intersected with ``(-inf, t]``."""
-        starts, ends = self._starts, self._ends
-        k = bisect_right(starts, t)
-        covered = 0.0
-        for i in range(k):
-            end = ends[i]
-            covered += (end if end <= t else t) - starts[i]
-        return covered
-
-    def __len__(self) -> int:
-        return len(self._starts)
-
-
 class OnlineOptLowerBound:
     """Monotone incremental lower bound on OPT's span (see module doc).
 
@@ -182,18 +129,18 @@ class OnlineOptLowerBound:
         self._vals: list[float] = []
         self.chain = 0.0
         self.max_length = 0.0
-        self._mandatory = IntervalUnion()
+        self._mandatory = MutableIntervalSet()
 
     @property
     def mandatory(self) -> float:
         """The incremental mandatory-interval bound component."""
-        return self._mandatory.total
+        return self._mandatory.measure
 
     @property
     def value(self) -> float:
         """The combined bound: max(chain, mandatory, max length)."""
         chain = self.chain
-        mandatory = self._mandatory.total
+        mandatory = self._mandatory.measure
         best = chain if chain >= mandatory else mandatory
         return best if best >= self.max_length else self.max_length
 
@@ -269,7 +216,7 @@ class TenantTelemetry:
         self.first_arrival: float | None = None
         self.decisions: dict[str, int] = {}
         self.lb = OnlineOptLowerBound()
-        self._span = IntervalUnion()
+        self._span = MutableIntervalSet()
         self._lengths: dict[int, float] = {}
         self._open_runs: dict[int, float] = {}
         # Released without a known length (non-clairvoyant streams):
@@ -345,7 +292,7 @@ class TenantTelemetry:
     @property
     def span(self) -> float:
         """Measure of the union of committed run intervals."""
-        return self._span.total
+        return self._span.measure
 
     @property
     def ratio(self) -> float | None:
@@ -353,7 +300,7 @@ class TenantTelemetry:
         run has committed span — a ratio of 0 would be noise, not
         an estimate)."""
         lb = self.lb.value
-        span = self._span.total
+        span = self._span.measure
         if lb <= 0.0 or span <= 0.0:
             return None
         return span / lb
@@ -362,7 +309,7 @@ class TenantTelemetry:
         """The tenant's aggregates as one JSON-serialisable dict."""
         lb = self.lb
         clock = self.clock
-        busy = self._span.measure_until(clock)
+        busy = self._span.intersection_length(-math.inf, clock)
         horizon = clock - (
             self.first_arrival if self.first_arrival is not None else clock
         )
@@ -377,7 +324,7 @@ class TenantTelemetry:
                 "pending": self.released - self.started,
                 "running": self.started - self.completed,
             },
-            "span": self._span.total,
+            "span": self._span.measure,
             "busy_s": busy,
             "idle_s": idle if idle > 0.0 else 0.0,
             "total_work": self.total_work,

@@ -23,9 +23,10 @@ Provided heuristics:
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Literal
 
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervals import IntervalUnion
 from ..core.intervalset import MutableIntervalSet
 from ..core.job import Instance, Job
 from ..core.schedule import Schedule
@@ -56,22 +57,6 @@ def candidate_starts(job: Job, union: IntervalUnion) -> list[float]:
                 if a <= s <= d:
                     cands.add(s)
     return sorted(cands)
-
-
-def _best_start(job: Job, union: IntervalUnion) -> float:
-    """The added-measure-minimising start (ties -> latest start)."""
-    best_s = job.deadline
-    best_cost = union.added_measure(
-        Interval(job.deadline, job.deadline + job.known_length)
-    )
-    for s in candidate_starts(job, union):
-        cost = union.added_measure(Interval(s, s + job.known_length))
-        if cost < best_cost - 1e-12 or (
-            cost <= best_cost + 1e-12 and s > best_s
-        ):
-            best_cost = cost
-            best_s = s
-    return best_s
 
 
 def greedy_overlap(
@@ -110,10 +95,11 @@ def greedy_overlap(
 
 
 def _best_start_fast(job: Job, mset: MutableIntervalSet) -> float:
-    """Like :func:`_best_start` but against a mutable set.
+    """The added-measure-minimising start against ``mset`` (ties -> latest).
 
-    Candidates with a breakpoint effect lie where ``s`` or ``s + p``
-    meets a component endpoint, i.e. endpoints ``e ∈ [a, d + p]``.
+    The candidates are :func:`candidate_starts`, taken only from the
+    components that can supply one: ``s`` or ``s + p`` meets a component
+    endpoint, i.e. endpoints ``e ∈ [a, d + p]``.
     """
     a, d, p = job.arrival, job.deadline, job.known_length
     cands = {a, d}
@@ -142,28 +128,32 @@ def local_search(schedule: Schedule, max_sweeps: int = 20) -> Schedule:
     instance = schedule.instance
     starts = schedule.starts()
     jobs = list(instance.jobs)
+    # Every job's run interval with its position in `jobs`, kept sorted
+    # by start, so the other jobs' union is one merging pass that skips
+    # the job's own entry.
+    placed = sorted(
+        (starts[j.id], starts[j.id] + j.known_length, k) for k, j in enumerate(jobs)
+    )
     for _ in range(max_sweeps):
         moved = False
-        for job in jobs:
-            others = IntervalUnion(
-                Interval(starts[j.id], starts[j.id] + j.known_length)
-                for j in jobs
-                if j.id != job.id
+        for k, job in enumerate(jobs):
+            others = MutableIntervalSet.from_sorted_pairs(
+                (lo, hi) for lo, hi, idx in placed if idx != k
             )
-            s = _best_start(job, others)
+            s = _best_start_fast(job, others)
+            old = starts[job.id]
+            p = job.known_length
             # Tolerance, not exact float !=: `s` comes from endpoint
             # arithmetic over the other jobs' intervals, so a no-op move
             # can differ from the stored start by ULPs; treating that as
             # "moved" would defeat fixpoint detection (RL003).
-            if abs(s - starts[job.id]) > 1e-12:
-                old_cost = others.added_measure(
-                    Interval(starts[job.id], starts[job.id] + job.known_length)
-                )
-                new_cost = others.added_measure(
-                    Interval(s, s + job.known_length)
-                )
+            if abs(s - old) > 1e-12:
+                old_cost = others.added_measure(old, old + p)
+                new_cost = others.added_measure(s, s + p)
                 if new_cost < old_cost - 1e-12:
                     starts[job.id] = s
+                    placed.remove((old, old + p, k))
+                    insort(placed, (s, s + p, k))
                     moved = True
         if not moved:
             break

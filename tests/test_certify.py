@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import bracket_optimum, measure_ratio
+from repro.analysis import OptBracket, RatioBracket, bracket_optimum, measure_ratio
 from repro.core import Instance, Job
 from repro.offline import exact_optimal_span
 from repro.schedulers import BatchPlus, Eager, Profit
+from repro.schedulers.registry import make_scheduler
 from repro.workloads import poisson_instance, small_integral_instance
 
 
@@ -70,6 +71,17 @@ class TestMeasureRatio:
         # Profit requires clairvoyance; measure_ratio must handle it.
         rb = measure_ratio(Profit(), inst)
         assert rb.span > 0
+
+    def test_empty_instance_ratio_is_one(self):
+        """0/0 -> 1.0 at both ends, the GridResult.ratio convention."""
+        rb = measure_ratio(make_scheduler("batch+"), Instance([]))
+        assert rb.lower == rb.upper == 1.0
+
+    def test_positive_span_over_zero_reference_is_inf(self):
+        rb = RatioBracket(span=2.0, opt=OptBracket(0.0, 0.0, "exact"))
+        assert rb.lower == rb.upper == float("inf")
+        half = RatioBracket(span=2.0, opt=OptBracket(0.0, 4.0, "bounds"))
+        assert (half.lower, half.upper) == (0.5, float("inf"))
 
     def test_str_forms(self):
         inst = small_integral_instance(5, seed=4)

@@ -91,6 +91,14 @@ class TestBasics:
         assert s.covers_interval(1.0, 4.0)
         assert not s.covers_interval(4.0, 6.0)
 
+    def test_from_sorted_pairs(self):
+        """Abutting and overlapping pairs merge; empty pairs drop out."""
+        s = MutableIntervalSet.from_sorted_pairs(
+            [(0.0, 1.0), (1.0, 2.0), (1.5, 1.5), (1.5, 1.8), (3.0, 4.0), (3.5, 5.0)]
+        )
+        assert [(c.left, c.right) for c in s] == [(0.0, 2.0), (3.0, 5.0)]
+        assert s.measure == 4.0
+
     def test_to_union_snapshot(self):
         s = MutableIntervalSet()
         s.add(0.0, 1.0)
@@ -144,3 +152,16 @@ class TestEquivalenceProperty:
             assert c.length > 0
         for a, b in zip(comps, comps[1:]):
             assert a.right < b.left  # disjoint AND non-abutting
+
+    @given(st.lists(st.tuples(finite, lengths), max_size=40))
+    @settings(max_examples=60)
+    def test_from_sorted_pairs_matches_union(self, pairs):
+        """One merging pass over start-sorted pairs gives the union's
+        components and measure exactly."""
+        spans = sorted((lo, lo + w) for lo, w in pairs)
+        s = MutableIntervalSet.from_sorted_pairs(spans)
+        u = IntervalUnion.from_pairs(spans)
+        assert list(s) == list(u)
+        assert s.measure == u.measure
+        s.add(0.0, 1.0)
+        assert s.to_union() == u.insert(Interval(0.0, 1.0))

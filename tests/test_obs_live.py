@@ -2,7 +2,9 @@
 
 The load-bearing claims (see ``docs/observability.md``):
 
-* :class:`IntervalUnion` matches a brute-force union measure;
+* :class:`~repro.core.intervalset.MutableIntervalSet`, which keeps the
+  telemetry's span and mandatory-interval union, matches a brute-force
+  union measure;
 * :class:`OnlineOptLowerBound` is **monotone nondecreasing** under any
   feed order, equals the certified offline
   :func:`~repro.offline.lower_bounds.span_lower_bound` when fed in
@@ -15,13 +17,13 @@ The load-bearing claims (see ``docs/observability.md``):
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.obs import TraceRecorder
 from repro.obs.live import (
-    IntervalUnion,
     LiveAggregator,
     OnlineOptLowerBound,
     TenantTelemetry,
@@ -30,6 +32,7 @@ from repro.obs.live import (
     telemetry_enabled,
 )
 from repro.core.engine import Simulator
+from repro.core.intervalset import MutableIntervalSet
 from repro.core.job import Instance, Job
 from repro.offline import span_lower_bound
 from repro.schedulers.registry import make_scheduler
@@ -57,39 +60,44 @@ def _brute_union(intervals: list[tuple[float, float]]) -> float:
 
 
 class TestIntervalUnion:
+    """The telemetry's union: ``measure`` is the span and
+    ``intersection_length(-inf, t)`` the busy time up to ``t``."""
+
     def test_empty(self):
-        u = IntervalUnion()
-        assert u.total == 0.0
+        u = MutableIntervalSet()
+        assert u.measure == 0.0
         assert len(u) == 0
-        assert u.measure_until(10.0) == 0.0
+        assert u.intersection_length(-math.inf, 10.0) == 0.0
 
     def test_degenerate_interval_ignored(self):
-        u = IntervalUnion()
+        u = MutableIntervalSet()
         u.add(2.0, 2.0)
         u.add(3.0, 1.0)
-        assert u.total == 0.0
+        assert u.measure == 0.0
 
     def test_touching_intervals_merge(self):
-        u = IntervalUnion()
+        u = MutableIntervalSet()
         u.add(0.0, 1.0)
         u.add(1.0, 2.0)
-        assert u.total == pytest.approx(2.0)
+        assert u.measure == pytest.approx(2.0)
         assert len(u) == 1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_against_brute_force(self, seed):
         rng = random.Random(seed)
-        u = IntervalUnion()
+        u = MutableIntervalSet()
         intervals: list[tuple[float, float]] = []
         for _ in range(120):
             s = rng.uniform(0.0, 50.0)
             e = s + rng.uniform(0.0, 8.0)
             u.add(s, e)
             intervals.append((s, e))
-            assert u.total == pytest.approx(_brute_union(intervals))
+            assert u.measure == pytest.approx(_brute_union(intervals))
         t = rng.uniform(0.0, 60.0)
         clipped = [(s, min(e, t)) for s, e in intervals if s < t]
-        assert u.measure_until(t) == pytest.approx(_brute_union(clipped))
+        assert u.intersection_length(-math.inf, t) == pytest.approx(
+            _brute_union(clipped)
+        )
 
 
 def _random_jobs(rng: random.Random, n: int) -> list[Job]:

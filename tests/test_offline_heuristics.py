@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.core.intervals import Interval, IntervalUnion
+from repro.core.intervalset import MutableIntervalSet
+from repro.core.schedule import Schedule
 from repro.offline import (
     best_offline,
     best_offline_span,
@@ -15,7 +18,84 @@ from repro.offline import (
     local_search,
     span_lower_bound,
 )
+from repro.offline.heuristics import _best_start_fast
 from repro.workloads import poisson_instance, small_integral_instance
+
+
+# -- reference: the IntervalUnion implementation local_search replaced ------
+def reference_best_start(job: Job, union: IntervalUnion) -> float:
+    """The added-measure-minimising start (ties -> latest start)."""
+    best_s = job.deadline
+    best_cost = union.added_measure(
+        Interval(job.deadline, job.deadline + job.known_length)
+    )
+    for s in candidate_starts(job, union):
+        cost = union.added_measure(Interval(s, s + job.known_length))
+        if cost < best_cost - 1e-12 or (
+            cost <= best_cost + 1e-12 and s > best_s
+        ):
+            best_cost = cost
+            best_s = s
+    return best_s
+
+
+def reference_local_search(schedule: Schedule, max_sweeps: int = 20) -> Schedule:
+    """Coordinate descent that rebuilds the others' union for every job."""
+    instance = schedule.instance
+    starts = schedule.starts()
+    jobs = list(instance.jobs)
+    for _ in range(max_sweeps):
+        moved = False
+        for job in jobs:
+            others = IntervalUnion(
+                Interval(starts[j.id], starts[j.id] + j.known_length)
+                for j in jobs
+                if j.id != job.id
+            )
+            s = reference_best_start(job, others)
+            if abs(s - starts[job.id]) > 1e-12:
+                old_cost = others.added_measure(
+                    Interval(starts[job.id], starts[job.id] + job.known_length)
+                )
+                new_cost = others.added_measure(
+                    Interval(s, s + job.known_length)
+                )
+                if new_cost < old_cost - 1e-12:
+                    starts[job.id] = s
+                    moved = True
+        if not moved:
+            break
+    return Schedule(instance, starts)
+
+
+#: Job counts of the reference-pin instances, cycled over the seeds.
+PIN_SIZES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 120)
+
+
+def _pin_instance(seed: int) -> Instance:
+    """A seeded instance for the reference pin.
+
+    Even seeds are integral, odd seeds real-valued.  About a quarter of
+    the jobs have a zero-laxity window, and arrivals are drawn from a
+    small anchor set often enough that starts coincide.
+    """
+    rng = np.random.default_rng(seed)
+    n = PIN_SIZES[seed % len(PIN_SIZES)]
+    horizon = max(2, n // 2)
+    anchors = rng.uniform(0, horizon, size=4)
+    jobs = []
+    for i in range(n):
+        if seed % 2 == 0:
+            a = float(rng.integers(0, horizon + 1))
+            lax = float(rng.integers(0, 5)) if rng.random() < 0.75 else 0.0
+            p = float(rng.integers(1, 5))
+        else:
+            shared = rng.random() < 0.3
+            a = float(rng.choice(anchors)) if shared else float(rng.uniform(0, horizon))
+            lax = float(rng.uniform(0, 6)) if rng.random() < 0.75 else 0.0
+            p = float(rng.uniform(0.1, 5))
+        jobs.append(Job(id=i, arrival=a, deadline=a + lax, length=p))
+    return Instance(jobs, name=f"pin-{seed}")
 
 
 class TestCandidateStarts:
@@ -92,16 +172,35 @@ class TestBestOffline:
         best_offline(inst).validate()
 
 
+class TestReferencePin:
+    """``local_search`` on one mutable set gives exactly the starts of the
+    IntervalUnion implementation: same candidates, same sums, same
+    decisions, so equality is exact, not approximate."""
+
+    @pytest.mark.parametrize("seed", range(2 * len(PIN_SIZES)))
+    def test_local_search_matches_reference(self, seed):
+        inst = _pin_instance(seed)
+        for order in ("deadline", "arrival", "length"):
+            initial = greedy_overlap(inst, order)
+            for sweeps in (1, 3, 20):
+                got = local_search(initial, max_sweeps=sweeps).starts()
+                want = reference_local_search(initial, max_sweeps=sweeps).starts()
+                assert got == want, (order, sweeps)
+
+    @pytest.mark.parametrize("seed", range(2 * len(PIN_SIZES)))
+    def test_best_offline_span_matches_reference(self, seed):
+        inst = _pin_instance(seed)
+        want = min(
+            reference_local_search(greedy_overlap(inst, order)).span
+            for order in ("deadline", "arrival", "length")
+        )
+        assert best_offline_span(inst) == want
+
+
 class TestFastPathEquivalence:
     def test_best_start_fast_matches_reference(self):
         """The MutableIntervalSet-based candidate search must agree with
         the IntervalUnion reference implementation everywhere."""
-        import numpy as np
-
-        from repro.core import Job
-        from repro.core.intervalset import MutableIntervalSet
-        from repro.offline.heuristics import _best_start, _best_start_fast
-
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = int(rng.integers(0, 10))
@@ -116,9 +215,7 @@ class TestFastPathEquivalence:
             lax = float(rng.uniform(0, 15))
             p = float(rng.uniform(0.5, 8))
             job = Job(0, a, a + lax, p)
-            assert _best_start(job, union) == pytest.approx(
-                _best_start_fast(job, mset)
-            )
+            assert reference_best_start(job, union) == _best_start_fast(job, mset)
 
     def test_greedy_scales_to_large_instances(self):
         """The fast path keeps greedy placement practical at 10^4 jobs."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import summarize_run
-from repro.core import InvalidInstanceError, simulate
+from repro.core import Instance, InvalidInstanceError, simulate
 from repro.schedulers import BatchPlus, Profit
 from repro.workloads import (
     poisson_instance,
@@ -49,6 +49,14 @@ class TestSummarizeRun:
         result = simulate(BatchPlus(), inst)
         s = summarize_run(result, certify=False)
         assert s.opt.method == "skipped"
+        out = s.render()
+        assert "ratio" not in out
+        assert "∞" not in out
+
+    def test_empty_run_ratio_is_one(self):
+        s = summarize_run(simulate(BatchPlus(), Instance([])))
+        assert s.ratio_lower == s.ratio_upper == 1.0
+        assert "competitive ratio (exact)" in s.render()
 
     def test_render(self):
         inst = small_integral_instance(5, seed=0)
