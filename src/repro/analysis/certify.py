@@ -15,12 +15,12 @@ carries its certainty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.engine import simulate
 from ..core.errors import SolverError
 from ..core.job import Instance
+from ..core.metrics import reference_ratio
 from ..offline.exact_float import MAX_JOBS as FLOAT_MAX_JOBS
 from ..offline.exact_float import exact_optimal_span_float
 from ..offline.heuristics import best_offline_span
@@ -59,18 +59,6 @@ class OptBracket:
         return self.upper - self.lower
 
 
-def _ratio(span: float, reference: float) -> float:
-    """``span / reference`` with 0/0 -> 1.0 and x/0 -> inf.
-
-    An empty run matched an empty optimum exactly, so its ratio is 1;
-    a positive span against a zero reference is unboundedly worse.  A
-    NaN reference (an uncertified bracket) gives NaN.
-    """
-    if reference > 0 or math.isnan(reference):
-        return span / reference
-    return 1.0 if span <= 0 else float("inf")
-
-
 @dataclass(frozen=True)
 class RatioBracket:
     """A certified bracket on a measured competitive ratio."""
@@ -81,12 +69,12 @@ class RatioBracket:
     @property
     def lower(self) -> float:
         """The ratio is at least this (span over OPT's upper bound)."""
-        return _ratio(self.span, self.opt.upper)
+        return reference_ratio(self.span, self.opt.upper)
 
     @property
     def upper(self) -> float:
         """The ratio is at most this (span over OPT's lower bound)."""
-        return _ratio(self.span, self.opt.lower)
+        return reference_ratio(self.span, self.opt.lower)
 
     @property
     def exact(self) -> bool:

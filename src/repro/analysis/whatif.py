@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervalset import MutableIntervalSet
 from ..core.schedule import Schedule
 from ..offline.heuristics import candidate_starts
 
@@ -34,27 +34,28 @@ class JobRegret:
 def placement_regrets(schedule: Schedule) -> list[JobRegret]:
     """Per-job regrets, sorted by descending regret (ties by id).
 
-    O(n² · candidates); intended for diagnostic use on moderate
-    instances.
+    O(n²) in all: each job's others-set is an O(n) merging pass, and
+    its candidates come only from the components near its window.
     """
     instance = schedule.instance
     jobs = list(instance.jobs)
     starts = schedule.starts()
+    # Run intervals sorted by start, tagged with the job's position, so
+    # each job's others-set is one merging pass that skips its own entry.
+    placed = sorted(
+        (starts[j.id], starts[j.id] + j.known_length, k) for k, j in enumerate(jobs)
+    )
     out: list[JobRegret] = []
-    for job in jobs:
-        others = IntervalUnion(
-            Interval(starts[j.id], starts[j.id] + j.known_length)
-            for j in jobs
-            if j.id != job.id
+    for k, job in enumerate(jobs):
+        others = MutableIntervalSet.from_sorted_pairs(
+            (lo, hi) for lo, hi, idx in placed if idx != k
         )
         p = job.known_length
-        current_cost = others.added_measure(
-            Interval(starts[job.id], starts[job.id] + p)
-        )
+        current_cost = others.added_measure(starts[job.id], starts[job.id] + p)
         best_s = starts[job.id]
         best_cost = current_cost
         for s in candidate_starts(job, others):
-            cost = others.added_measure(Interval(s, s + p))
+            cost = others.added_measure(s, s + p)
             if cost < best_cost - 1e-12:
                 best_cost = cost
                 best_s = s

@@ -61,6 +61,7 @@ from .analysis import (
     render_gantt,
 )
 from .core import SimulationError, load_instance, save_instance, simulate
+from .core.metrics import reference_ratio
 from .offline import exact_optimal_span, span_lower_bound
 from .schedulers import make_scheduler, scheduler_names
 from .workloads import WorkloadSpec, generate, ratio_stats, run_grid
@@ -233,8 +234,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"scheduler : {sched.describe()}")
     print(f"workload  : {inst.name}")
     print(f"span      : {result.span:.4f}")
-    # 0/0 -> 1.0 and x/0 -> inf, the GridResult.ratio convention
-    ratio = result.span / lb if lb > 0 else (1.0 if result.span == 0.0 else float("inf"))
+    ratio = reference_ratio(result.span, lb)
     print(f"lower bnd : {lb:.4f}  (ratio <= {ratio:.4f})")
     print(f"events    : {result.events_processed}")
     if args.summary:

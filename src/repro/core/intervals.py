@@ -6,10 +6,13 @@ union of the jobs' active intervals.  This module provides:
 
 * :class:`Interval` — an immutable half-open interval with the paper's
   ``left``/``right`` endpoint accessors and ``len(I) = I^+ - I^-``.
-* :class:`IntervalUnion` — a canonical (sorted, disjoint, merged) union of
-  intervals supporting measure, membership, intersection, gaps and
-  incremental insertion.  This is the workhorse behind every span
-  computation in the library.
+* :class:`IntervalUnion` — an immutable, hashable snapshot of a union in
+  canonical form (sorted, disjoint, merged components) with its measure.
+  It is what a finished schedule reports (``Schedule.active_union``,
+  ``metrics.busy_union``), what ``audit`` and the DBP bins measure, and
+  what :meth:`repro.core.intervalset.MutableIntervalSet.to_union`
+  returns.  Code that grows a union or queries overlaps uses
+  :class:`~repro.core.intervalset.MutableIntervalSet`.
 * :func:`union_measure` — a NumPy-vectorised union measure for large batch
   computations (the hot path identified in DESIGN.md), avoiding Python
   object overhead when measuring tens of thousands of intervals.
@@ -119,14 +122,13 @@ def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
 
 
 class IntervalUnion:
-    """A canonical union of half-open intervals.
+    """An immutable canonical union of half-open intervals.
 
     The union is stored as a sorted list of disjoint non-abutting
-    :class:`Interval` components, so ``measure`` is a simple sum and
-    membership queries are binary searches.  The structure is immutable
-    from the caller's perspective: :meth:`union` and :meth:`insert`
-    return new unions.  A caller that grows a union in place uses
-    :class:`repro.core.intervalset.MutableIntervalSet` instead.
+    :class:`Interval` components, so ``measure`` is a simple sum and two
+    unions are equal exactly when their components are.  It is a
+    snapshot: a caller that grows a union or asks how an interval
+    overlaps it uses :class:`repro.core.intervalset.MutableIntervalSet`.
     """
 
     __slots__ = ("_components",)
@@ -193,80 +195,6 @@ class IntervalUnion:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = " ∪ ".join(repr(iv) for iv in self._components) or "∅"
         return f"IntervalUnion({inner})"
-
-    def contains(self, t: float) -> bool:
-        """Whether time ``t`` is covered by the union."""
-        comp = self.component_at(t)
-        return comp is not None
-
-    def component_at(self, t: float) -> Interval | None:
-        """The contiguous component covering ``t``, or ``None``.
-
-        This implements the paper's ``I_S(J)`` lookup: the contiguous
-        interval of a span that a given active interval falls in.
-        """
-        lo, hi = 0, len(self._components) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            comp = self._components[mid]
-            if t < comp.left:
-                hi = mid - 1
-            elif t >= comp.right:
-                lo = mid + 1
-            else:
-                return comp
-        return None
-
-    def intersection_length(self, interval: Interval) -> float:
-        """Measure of ``union ∩ interval``."""
-        return sum(c.intersection_length(interval) for c in self._components)
-
-    def added_measure(self, interval: Interval) -> float:
-        """How much the union's measure would grow by inserting ``interval``.
-
-        Equal to ``len(interval) - len(union ∩ interval)``.  This is the
-        quantity offline heuristics greedily minimise.
-        """
-        return interval.length - self.intersection_length(interval)
-
-    def gaps(self) -> list[Interval]:
-        """The maximal uncovered intervals strictly between components."""
-        out: list[Interval] = []
-        for a, b in zip(self._components, self._components[1:]):
-            out.append(Interval(a.right, b.left))
-        return out
-
-    # -- algebra ---------------------------------------------------------
-    def union(self, other: "IntervalUnion | Interval") -> "IntervalUnion":
-        """Union with another union or a single interval."""
-        if isinstance(other, Interval):
-            extra: Iterable[Interval] = (other,)
-        else:
-            extra = other._components
-        return IntervalUnion([*self._components, *extra])
-
-    def insert(self, interval: Interval) -> "IntervalUnion":
-        """Alias of :meth:`union` for a single interval (returns new union)."""
-        return self.union(interval)
-
-    def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Pointwise intersection of two unions (two-pointer sweep)."""
-        out: list[Interval] = []
-        i = j = 0
-        a, b = self._components, other._components
-        while i < len(a) and j < len(b):
-            iv = a[i].intersection(b[j])
-            if iv is not None:
-                out.append(iv)
-            if a[i].right <= b[j].right:
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(out)
-
-    def key(self) -> tuple[tuple[float, float], ...]:
-        """A hashable canonical key (used for solver memoisation)."""
-        return tuple((c.left, c.right) for c in self._components)
 
 
 def union_measure(starts: np.ndarray | Sequence[float], lengths: np.ndarray | Sequence[float]) -> float:

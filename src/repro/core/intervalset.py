@@ -1,23 +1,30 @@
-"""A mutable interval set with logarithmic point/overlap queries.
+"""A mutable interval set with logarithmic overlap queries.
 
-:class:`IntervalUnion` is immutable — every insert copies the component
-list, which is the right trade-off for schedule snapshots but quadratic
-when a caller grows a union one interval at a time, or rebuilds one per
-query.  :class:`MutableIntervalSet` maintains the same canonical form
-(sorted, disjoint, non-abutting, half-open components) in place.  Its
-users are the offline heuristics (``greedy_overlap`` grows the placed
-union job by job; ``local_search`` re-places each job against the other
-jobs' set) and the live telemetry plane (a tenant's observed span and
-the mandatory part of its online OPT lower bound):
+:class:`MutableIntervalSet` keeps a union of half-open intervals in
+canonical form (sorted, disjoint, non-abutting components) and grows it
+in place.  It is the library's one structure for building or querying a
+union; :class:`~repro.core.intervals.IntervalUnion` is only the
+immutable snapshot :meth:`MutableIntervalSet.to_union` returns.  Its
+users:
+
+* the coverage schedulers (``Doubler``, ``GreedyCover``, ``WaitScale``)
+  grow their committed busy time job by job and ask how much of a
+  prospective run it already covers;
+* the offline heuristics (``greedy_overlap`` grows the placed union;
+  ``local_search``, ``anneal`` and ``placement_regrets`` re-place a job
+  against the other jobs' set) and the frontier solvers (``exact``,
+  ``exact_float``, ``beam``), which clip a frontier and extend it by one
+  placement per branch;
+* :class:`~repro.offline.lower_bounds.OnlineOptLowerBound` (the
+  mandatory-interval union) and the live telemetry's observed span.
+
+Costs:
 
 * ``add(lo, hi)``     — amortised O(log n + k) for k merged components;
 * ``from_sorted_pairs`` — O(n) for n pairs already sorted by start;
-* ``covers``, ``intersection_length``, ``added_measure`` — O(log n + k);
+* ``intersection_length``, ``added_measure`` — O(log n + k) for k
+  components met;
 * ``measure``         — O(1) (maintained incrementally).
-
-The set is behaviourally equivalent to rebuilding an ``IntervalUnion``
-from the same inserts (the property suite asserts this), so callers can
-pick by mutability need alone.
 """
 
 from __future__ import annotations
@@ -94,10 +101,6 @@ class MutableIntervalSet:
         self._measure += added
         return added
 
-    def add_interval(self, iv: Interval) -> float:
-        """Insert an :class:`Interval`; returns the measure added."""
-        return self.add(iv.left, iv.right)
-
     # -- queries --------------------------------------------------------------
     @property
     def measure(self) -> float:
@@ -110,10 +113,9 @@ class MutableIntervalSet:
         for lo, hi in zip(self._lefts, self._rights):
             yield Interval(lo, hi)
 
-    def covers(self, t: float) -> bool:
-        """Whether ``t`` lies in some component (half-open)."""
-        i = bisect_right(self._lefts, t) - 1
-        return i >= 0 and t < self._rights[i]
+    def pairs(self) -> Iterator[tuple[float, float]]:
+        """The components as ``(left, right)`` pairs, left to right."""
+        return zip(self._lefts, self._rights)
 
     def intersection_length(self, lo: float, hi: float) -> float:
         """Measure of the overlap with ``[lo, hi)``."""
@@ -133,22 +135,19 @@ class MutableIntervalSet:
             return 0.0
         return (hi - lo) - self.intersection_length(lo, hi)
 
-    def covers_interval(self, lo: float, hi: float, tol: float = 1e-12) -> bool:
-        """Whether ``[lo, hi)`` is fully covered (up to ``tol``)."""
-        return self.intersection_length(lo, hi) >= (hi - lo) - tol
-
-    def components_overlapping(self, lo: float, hi: float) -> Iterator[Interval]:
-        """Components intersecting the *closed* range ``[lo, hi]``.
+    def components_overlapping(
+        self, lo: float, hi: float
+    ) -> Iterator[tuple[float, float]]:
+        """``(left, right)`` of the components meeting the *closed* range
+        ``[lo, hi]``.
 
         Uses the closed range (not half-open) because callers enumerate
         candidate endpoints, where touching counts.
         """
-        if not self._lefts:
-            return
         lefts, rights = self._lefts, self._rights
         i = bisect_left(rights, lo)
         while i < len(lefts) and lefts[i] <= hi:
-            yield Interval(lefts[i], rights[i])
+            yield lefts[i], rights[i]
             i += 1
 
     def to_union(self) -> IntervalUnion:

@@ -15,6 +15,7 @@ All heavy computations are NumPy-vectorised sweep-line passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "max_concurrency",
     "parallelism",
     "span_ratio",
+    "reference_ratio",
     "overlap_fraction",
 ]
 
@@ -124,6 +126,20 @@ def span_ratio(schedule: Schedule, optimum: float) -> float:
     if optimum <= 0:
         raise ValueError("optimum span must be positive")
     return schedule.span / optimum
+
+
+def reference_ratio(span: float, reference: float) -> float:
+    """``span / reference`` with 0/0 -> 1.0 and x/0 -> inf.
+
+    The one ratio convention of the sweeps, the certified brackets and
+    ``repro run``: an empty run matched an empty reference exactly, so
+    its ratio is 1; a positive span against a zero reference is
+    unboundedly worse.  A NaN reference (an uncertified bracket) gives
+    NaN.
+    """
+    if reference > 0 or math.isnan(reference):
+        return span / reference
+    return 1.0 if span <= 0 else float("inf")
 
 
 def overlap_fraction(schedule: Schedule) -> float:

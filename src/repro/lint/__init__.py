@@ -24,8 +24,6 @@ RL004     state-mutation — assignment to ``JobView`` / ``Job``
           attributes inside a scheduler (jobs are immutable inputs).
 RL005     reset-contract — a scheduler subclass ``reset()`` that never
           calls ``super().reset()``.
-RL006     unused-import — an imported name never used in the module
-          (generic hygiene; ``__init__.py`` re-export hubs exempt).
 RL007     cross-module-clairvoyance-taint — the whole-program upgrade of
           RL001: a leak laundered through helpers in *other* modules.
 RL008     pool-unsafe-work — a lambda, closure, or transitively impure
@@ -90,7 +88,6 @@ never-retrieved task exceptions on the shared async fixture packages.
 
 from __future__ import annotations
 
-from .autofix import apply_fixes, fix_source
 from .baseline import Baseline, load_baseline, write_baseline
 from .sarif import render_sarif, to_sarif
 from .findings import LintFinding, LintReport
@@ -102,7 +99,6 @@ from . import rules_clairvoyance  # noqa: F401  (registration side effect)
 from . import rules_determinism  # noqa: F401
 from . import rules_floats  # noqa: F401
 from . import rules_schedstate  # noqa: F401
-from . import rules_generic  # noqa: F401
 from . import rules_observability  # noqa: F401
 from . import rules_perf  # noqa: F401
 from . import dataflow  # noqa: F401  (registers RL007-RL010)
@@ -120,10 +116,8 @@ __all__ = [
     "Program",
     "ProgramRule",
     "Rule",
-    "apply_fixes",
     "default_cache_path",
     "default_target",
-    "fix_source",
     "lint_paths",
     "lint_source",
     "load_baseline",

@@ -32,7 +32,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:  # type: ignore[ty
             "AST-based static analysis of reproduction invariants: "
             "clairvoyance contract (RL001), determinism (RL002), "
             "float hygiene (RL003), job immutability (RL004), "
-            "reset contract (RL005), unused imports (RL006), plus the "
+            "reset contract (RL005), plus the "
             "whole-program dataflow rules: cross-module clairvoyance "
             "taint (RL007), pool-unsafe work (RL008), parameter domains "
             "(RL009), heap key types (RL010); hot-path output "
@@ -58,17 +58,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:  # type: ignore[ty
         default="text",
         help="output format (default: text; 'sarif' emits SARIF 2.1.0 "
         "for code-scanning UIs)",
-    )
-    p.add_argument(
-        "--fix",
-        action="store_true",
-        help="mechanically repair fixable findings (RL006 unused imports) "
-        "and re-lint",
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the unified diff without writing files",
     )
     p.add_argument(
         "--baseline",
@@ -193,21 +182,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
         cache = AnalysisCache(cache_path)
 
-    if args.dry_run and not args.fix:
-        print("error: --dry-run requires --fix", file=sys.stderr)
-        return 2
-
     paths = args.paths if args.paths else [default_target()]
-
-    if args.fix:
-        from .autofix import apply_fixes
-
-        result = apply_fixes(paths, dry_run=args.dry_run)
-        print(result.render())
-        if args.dry_run:
-            return 0
-        # fall through: re-lint the repaired tree so the exit code and
-        # report reflect what is on disk now.
 
     report = lint_paths(
         paths, rules=rules, baseline=baseline, jobs=jobs, cache=cache

@@ -21,7 +21,7 @@ class LintFinding:
     Attributes
     ----------
     rule:
-        Rule code (``"RL001"`` … ``"RL006"``).
+        Rule code (``"RL001"`` … ``"RL021"``).
     severity:
         ``"error"`` (gates CI) or ``"warning"`` (informational).
     path:

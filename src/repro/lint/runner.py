@@ -7,7 +7,7 @@ common scan root so baselines are machine-independent.
 
 Since PR 4 a lint run has two phases:
 
-1. **Per-file** — parse, run the per-file rules (RL001–RL006), and
+1. **Per-file** — parse, run the per-file rules (RL001–RL005, RL011, RL012), and
    extract a :class:`~repro.lint.dataflow.FileSummary`.  This phase is
    embarrassingly parallel (``jobs > 1`` fans out over
    :class:`repro.perf.parallel.ParallelRunner`) and incremental (an

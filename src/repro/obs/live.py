@@ -15,32 +15,22 @@ records) and maintains, online:
 * the decision-rule mix over the closed
   :data:`~repro.obs.records.DECISION_RULES` vocabulary;
 * an **online competitive-ratio estimate** ``span / LB`` where ``LB``
-  is :class:`OnlineOptLowerBound` — an incremental form of the repo's
-  certified offline bounds (:mod:`repro.offline.lower_bounds`).
+  is :class:`~repro.offline.lower_bounds.OnlineOptLowerBound`, fed one
+  release at a time.
 
 Ratio-LB math
 -------------
-``OnlineOptLowerBound`` is the running max of three quantities, each
-maintained incrementally and each individually monotone nondecreasing
-as jobs are added — so the combined bound is monotone by construction:
-
-* **chain bound** — the max-weight chain in the must-be-disjoint DAG
-  (``a(j) >= d(i) + p(i)`` ⇒ no scheduler can overlap ``i`` and ``j``).
-  Instead of the offline Fenwick sweep, a Pareto front of
-  ``(latest_completion, best_chain_weight)`` pairs — strictly
-  increasing in both coordinates — answers "best chain ending at
-  latest-completion ``<= a``" with one bisect, then inserts the
-  extended chain and prunes dominated entries.  Amortized
-  ``O(log n)`` per arrival.  When jobs are fed in nondecreasing
-  arrival order (the serve stream guarantees it; equal arrivals never
-  chain onto each other since ``a < d + p``), the front reproduces
-  :func:`repro.offline.lower_bounds.chain_lower_bound` exactly; fed in
-  any other order it stays a *sound* (possibly weaker) bound, because
-  every queried predecessor really satisfies the disjointness test.
-* **mandatory bound** — the union measure of ``[d, a+p)`` over jobs
-  with ``laxity < p`` (they occupy that window in every feasible
-  schedule), maintained by the same incremental interval union.
-* **max length** — a single running max.
+``OnlineOptLowerBound`` lives in :mod:`repro.offline.lower_bounds`; the
+certified offline bounds (``chain_lower_bound``,
+``mandatory_lower_bound``, ``span_lower_bound``) are folds of it over
+an instance in arrival order, so there is one implementation of the
+chain argument.  It is the running max of the chain bound (a Pareto
+front over latest completions), the mandatory-interval union and the
+max length, each monotone nondecreasing as jobs are added, so the
+combined bound is monotone by construction.  The serve stream feeds
+releases in nondecreasing arrival order, where the live bound equals
+the offline one; fed in any other order it stays sound, possibly
+weaker.
 
 ``span / LB >= span / OPT``: the live ratio is a sound *upper*
 estimate of the schedule's competitive ratio on the instance so far.
@@ -64,10 +54,10 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, bisect_right
 from typing import Any, Mapping
 
 from ..core.intervalset import MutableIntervalSet
+from ..offline.lower_bounds import OnlineOptLowerBound
 from .records import KIND_DECISION, KIND_INSTANT, ObsRecord
 
 __all__ = [
@@ -110,74 +100,6 @@ def telemetry_addr(override: str | None = None) -> tuple[str, int] | None:
     if not host or not port:
         raise ValueError(f"telemetry address takes HOST:PORT, got {spec!r}")
     return host, int(port)
-
-
-class OnlineOptLowerBound:
-    """Monotone incremental lower bound on OPT's span (see module doc).
-
-    ``add(arrival, deadline, length)`` folds one released job in;
-    ``value`` only ever grows.  On a full instance fed in nondecreasing
-    arrival order the bound equals the certified offline
-    :func:`~repro.offline.lower_bounds.span_lower_bound`.
-    """
-
-    __slots__ = ("_lcs", "_vals", "chain", "max_length", "_mandatory")
-
-    def __init__(self) -> None:
-        # Pareto front: _lcs strictly increasing, _vals strictly increasing.
-        self._lcs: list[float] = []
-        self._vals: list[float] = []
-        self.chain = 0.0
-        self.max_length = 0.0
-        self._mandatory = MutableIntervalSet()
-
-    @property
-    def mandatory(self) -> float:
-        """The incremental mandatory-interval bound component."""
-        return self._mandatory.measure
-
-    @property
-    def value(self) -> float:
-        """The combined bound: max(chain, mandatory, max length)."""
-        chain = self.chain
-        mandatory = self._mandatory.measure
-        best = chain if chain >= mandatory else mandatory
-        return best if best >= self.max_length else self.max_length
-
-    def add(self, arrival: float, deadline: float, length: float) -> None:
-        """Fold one released job ``(a, d, p)`` into the bound."""
-        if length > self.max_length:
-            self.max_length = length
-        if arrival + length > deadline:  # laxity < p: mandatory interval
-            self._mandatory.add(deadline, arrival + length)
-        lcs, vals = self._lcs, self._vals
-        # Best chain whose last job completes by this arrival, extended.
-        i = bisect_right(lcs, arrival) - 1
-        cand = (vals[i] if i >= 0 else 0.0) + length
-        if cand > self.chain:
-            self.chain = cand
-        lc = deadline + length
-        j = bisect_left(lcs, lc)
-        if j > 0 and vals[j - 1] >= cand:
-            return  # dominated by an earlier completion with a better chain
-        n = len(lcs)
-        if j < n and lcs[j] == lc:
-            if vals[j] >= cand:
-                return
-            vals[j] = cand
-            k = j + 1
-        else:
-            lcs.insert(j, lc)
-            vals.insert(j, cand)
-            n += 1
-            k = j + 1
-        # Prune now-dominated successors (later completion, weaker chain).
-        m = k
-        while m < n and vals[m] <= cand:
-            m += 1
-        if m > k:
-            del lcs[k:m]
-            del vals[k:m]
 
 
 class TenantTelemetry:

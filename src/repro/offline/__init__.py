@@ -33,7 +33,7 @@ from .heuristics import (
     local_search,
 )
 from .lower_bounds import (
-    FenwickMax,
+    OnlineOptLowerBound,
     chain_lower_bound,
     mandatory_lower_bound,
     span_lower_bound,
@@ -60,7 +60,7 @@ __all__ = [
     "candidate_starts",
     "greedy_overlap",
     "local_search",
-    "FenwickMax",
+    "OnlineOptLowerBound",
     "chain_lower_bound",
     "mandatory_lower_bound",
     "lp_lower_bound",

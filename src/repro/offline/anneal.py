@@ -17,10 +17,11 @@ given the seed.
 from __future__ import annotations
 
 import math
+from bisect import insort
 
 import numpy as np
 
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervalset import MutableIntervalSet
 from ..core.schedule import Schedule
 from .heuristics import candidate_starts
 
@@ -63,13 +64,18 @@ def anneal(
 
     rng = np.random.default_rng(seed)
     starts = schedule.starts()
+    # Every job's run interval with its position in `jobs`, kept sorted
+    # by start, so a union is one merging pass (as in local_search).
+    placed = sorted(
+        (starts[j.id], starts[j.id] + j.known_length, k) for k, j in enumerate(jobs)
+    )
 
-    def span_of(assign: dict[int, float]) -> float:
-        return IntervalUnion(
-            Interval(assign[j.id], assign[j.id] + j.known_length) for j in jobs
+    def span_of() -> float:
+        return MutableIntervalSet.from_sorted_pairs(
+            (lo, hi) for lo, hi, _ in placed
         ).measure
 
-    current_span = span_of(starts)
+    current_span = span_of()
     best_span = current_span
     best_starts = dict(starts)
     temperature = (
@@ -79,7 +85,8 @@ def anneal(
     )
 
     for _ in range(iterations):
-        job = jobs[int(rng.integers(len(jobs)))]
+        k = int(rng.integers(len(jobs)))
+        job = jobs[k]
         # Degenerate window: the job cannot move.  Tolerance rather than
         # an exact float ==: laxity is a float subtraction, and perturbed
         # workloads produce windows of width ~1e-16 that are zero in
@@ -88,18 +95,19 @@ def anneal(
             temperature *= cooling
             continue
         old = starts[job.id]
+        p = job.known_length
         if rng.random() < jump_probability:
             proposal = float(rng.uniform(job.arrival, job.deadline))
         else:
-            others = IntervalUnion(
-                Interval(starts[j.id], starts[j.id] + j.known_length)
-                for j in jobs
-                if j.id != job.id
+            others = MutableIntervalSet.from_sorted_pairs(
+                (lo, hi) for lo, hi, idx in placed if idx != k
             )
             cands = candidate_starts(job, others)
             proposal = float(cands[int(rng.integers(len(cands)))])
         starts[job.id] = proposal
-        new_span = span_of(starts)
+        placed.remove((old, old + p, k))
+        insort(placed, (proposal, proposal + p, k))
+        new_span = span_of()
         delta = new_span - current_span
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
             current_span = new_span
@@ -108,6 +116,8 @@ def anneal(
                 best_starts = dict(starts)
         else:
             starts[job.id] = old
+            placed.remove((proposal, proposal + p, k))
+            insort(placed, (old, old + p, k))
         temperature *= cooling
 
     return Schedule(instance, best_starts)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervalset import MutableIntervalSet
 from ..core.job import Instance
 from ..core.schedule import Schedule
-from .exact import _frontier_key
+from .exact import _extend, _frontier_key
 from .heuristics import candidate_starts
 from .lower_bounds import chain_lower_bound
 
@@ -33,7 +33,7 @@ class _Partial:
     """A partial placement: flushed cost, frontier, and starts so far."""
 
     cost: float
-    frontier: IntervalUnion
+    frontier: MutableIntervalSet
     starts: tuple[tuple[int, float], ...]
 
     def priority(self, suffix_lb: float) -> float:
@@ -72,23 +72,21 @@ def beam_search_schedule(
     ] + [0.0]
 
     beam: list[_Partial] = [
-        _Partial(cost=0.0, frontier=IntervalUnion(), starts=())
+        _Partial(cost=0.0, frontier=MutableIntervalSet(), starts=())
     ]
     for i, job in enumerate(jobs):
         p = job.known_length
-        expanded: dict[
-            tuple[tuple[tuple[float, float], ...]], _Partial
-        ] = {}
+        expanded: dict[tuple[tuple[float, float], ...], _Partial] = {}
         for partial in beam:
             key, flushed = _frontier_key(partial.frontier, job.arrival)
-            frontier = IntervalUnion.from_pairs(key)
+            frontier = MutableIntervalSet.from_sorted_pairs(key)
             cost = partial.cost + flushed
             cands = sorted(
                 candidate_starts(job, frontier),
-                key=lambda s: (frontier.added_measure(Interval(s, s + p)), -s),
+                key=lambda s: (frontier.added_measure(s, s + p), -s),
             )[:branch]
             for s in cands:
-                new_frontier = frontier.insert(Interval(s, s + p))
+                new_frontier = _extend(key, s, s + p)
                 child = _Partial(
                     cost=cost,
                     frontier=new_frontier,
@@ -96,7 +94,7 @@ def beam_search_schedule(
                 )
                 # Deduplicate by frontier shape: among equal frontiers
                 # only the cheapest flushed cost can lead anywhere better.
-                dkey = (new_frontier.key(),)
+                dkey = tuple(new_frontier.pairs())
                 seen = expanded.get(dkey)
                 if seen is None or child.cost < seen.cost:
                     expanded[dkey] = child

@@ -35,12 +35,13 @@ small instances used for tight competitive-ratio measurement (roughly
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from ..core.errors import SolverError
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervalset import MutableIntervalSet
 from ..core.job import Instance, Job
 from ..core.schedule import Schedule
 from .heuristics import best_offline
@@ -106,7 +107,7 @@ def _integralize(instance: Instance, max_denominator: int) -> tuple[Instance, fl
 
 
 def _frontier_key(
-    union: IntervalUnion, cutoff: float
+    union: MutableIntervalSet, cutoff: float
 ) -> tuple[tuple[tuple[float, float], ...], float]:
     """Clip a union at ``cutoff``: flush fully-past components into a cost.
 
@@ -114,15 +115,30 @@ def _frontier_key(
     """
     kept: list[tuple[float, float]] = []
     flushed = 0.0
-    for comp in union.components:
-        if comp.right <= cutoff:
-            flushed += comp.length
-        elif comp.left < cutoff:
-            flushed += cutoff - comp.left
-            kept.append((cutoff, comp.right))
+    for left, right in union.pairs():
+        if right <= cutoff:
+            flushed += right - left
+        elif left < cutoff:
+            flushed += cutoff - left
+            kept.append((cutoff, right))
         else:
-            kept.append((comp.left, comp.right))
+            kept.append((left, right))
     return tuple(kept), flushed
+
+
+def _extend(
+    key: tuple[tuple[float, float], ...], lo: float, hi: float
+) -> MutableIntervalSet:
+    """The clipped frontier ``key`` plus ``[lo, hi)``, merged in one pass.
+
+    Not ``add``: a set built from sorted pairs sums its measure left to
+    right over the components, while ``add`` updates it incrementally,
+    which rounds differently on real-valued data and can flip a tie
+    between two branches.
+    """
+    pairs = list(key)
+    insort(pairs, (lo, hi))
+    return MutableIntervalSet.from_sorted_pairs(pairs)
 
 
 def exact_optimal_schedule(
@@ -171,7 +187,9 @@ def exact_optimal_schedule(
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n * 10 + 1000))
 
-    def solve(i: int, union: IntervalUnion, cost: float, starts: dict[int, float]) -> None:
+    def solve(
+        i: int, union: MutableIntervalSet, cost: float, starts: dict[int, float]
+    ) -> None:
         """Explore placements for jobs[i:] given the frontier ``union``.
 
         ``cost`` is the measure already flushed (strictly to the left of
@@ -189,7 +207,7 @@ def exact_optimal_schedule(
         job = jobs[i]
         key, flushed = _frontier_key(union, job.arrival)
         cost += flushed
-        union = IntervalUnion.from_pairs(key)
+        union = MutableIntervalSet.from_sorted_pairs(key)
 
         # Admissible bound: every frontier point already counts toward the
         # final measure, and the remaining jobs add at least
@@ -219,16 +237,15 @@ def exact_optimal_schedule(
         # incumbent tightens early and the bound prunes more branches.
         candidates = sorted(
             range(lo, hi + 1),
-            key=lambda s: (union.added_measure(Interval(s, s + p)), -s),
+            key=lambda s: (union.added_measure(s, s + p), -s),
         )
         for s in candidates:
-            iv = Interval(float(s), float(s) + p)
             starts[job.id] = float(s)
-            solve(i + 1, union.insert(iv), cost, starts)
+            solve(i + 1, _extend(key, float(s), float(s) + p), cost, starts)
             del starts[job.id]
 
     try:
-        solve(0, IntervalUnion(), 0.0, {})
+        solve(0, MutableIntervalSet(), 0.0, {})
     finally:
         sys.setrecursionlimit(old_limit)
 

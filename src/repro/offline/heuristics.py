@@ -26,7 +26,6 @@ from __future__ import annotations
 from bisect import insort
 from typing import Iterable, Literal
 
-from ..core.intervals import IntervalUnion
 from ..core.intervalset import MutableIntervalSet
 from ..core.job import Instance, Job
 from ..core.schedule import Schedule
@@ -40,19 +39,21 @@ __all__ = [
 ]
 
 
-def candidate_starts(job: Job, union: IntervalUnion) -> list[float]:
+def candidate_starts(job: Job, union: MutableIntervalSet) -> list[float]:
     """Start times sufficient to minimise added measure for ``job``.
 
     The added measure ``s ↦ len([s, s+p) \\ union)`` is piecewise linear
     in ``s`` with breakpoints at component endpoints ``e`` (where ``s``
     crosses ``e``) and at ``e - p`` (where ``s + p`` crosses ``e``); its
     minimum over the window ``[a, d]`` is attained at a breakpoint or a
-    window end.
+    window end.  Only endpoints ``e ∈ [a, d + p]`` give a breakpoint
+    inside the window, so only the components meeting ``[a - p, d + p]``
+    are read.
     """
     a, d, p = job.arrival, job.deadline, job.known_length
     cands = {a, d}
-    for comp in union.components:
-        for e in (comp.left, comp.right):
+    for left, right in union.components_overlapping(a - p, d + p):
+        for e in (left, right):
             for s in (e, e - p):
                 if a <= s <= d:
                     cands.add(s)
@@ -95,22 +96,11 @@ def greedy_overlap(
 
 
 def _best_start_fast(job: Job, mset: MutableIntervalSet) -> float:
-    """The added-measure-minimising start against ``mset`` (ties -> latest).
-
-    The candidates are :func:`candidate_starts`, taken only from the
-    components that can supply one: ``s`` or ``s + p`` meets a component
-    endpoint, i.e. endpoints ``e ∈ [a, d + p]``.
-    """
-    a, d, p = job.arrival, job.deadline, job.known_length
-    cands = {a, d}
-    for comp in mset.components_overlapping(a - p, d + p):
-        for e in (comp.left, comp.right):
-            for s in (e, e - p):
-                if a <= s <= d:
-                    cands.add(s)
+    """The added-measure-minimising start against ``mset`` (ties -> latest)."""
+    d, p = job.deadline, job.known_length
     best_s = d
     best_cost = mset.added_measure(d, d + p)
-    for s in sorted(cands):
+    for s in candidate_starts(job, mset):
         cost = mset.added_measure(s, s + p)
         if cost < best_cost - 1e-12 or (cost <= best_cost + 1e-12 and s > best_s):
             best_cost = cost

@@ -7,69 +7,116 @@ then no scheduler can overlap their active intervals, so any chain of
 such pairwise-incompatible jobs contributes the **sum** of its processing
 lengths to every schedule's span.
 
-:func:`chain_lower_bound` computes the maximum-weight such chain — the
-longest path in the "must-be-disjoint" DAG with edge ``i → j`` iff
-``a(j) >= d(i) + p(i)`` and node weights ``p`` — in ``O(n log n)`` with a
-Fenwick prefix-max tree.  Together with the trivial bound ``max_j p(j)``
-(subsumed by the chain bound, kept for clarity) this yields
+:class:`OnlineOptLowerBound` is the one implementation of that argument.
+It folds jobs in one at a time and keeps the running max of three
+quantities, each monotone nondecreasing as jobs are added:
+
+* **chain bound** — the max-weight chain in the must-be-disjoint DAG
+  (edge ``i → j`` iff ``a(j) >= d(i) + p(i)``, node weights ``p``).  A
+  Pareto front of ``(latest_completion, best_chain_weight)`` pairs,
+  strictly increasing in both coordinates, answers "best chain ending at
+  latest-completion ``<= a``" with one bisect, then takes the extended
+  chain and drops the entries it dominates: amortised ``O(log n)`` per
+  job.  Fed in nondecreasing arrival order the front finds the maximum
+  chain exactly (equal arrivals never chain onto each other, since
+  ``a < d + p``); fed in any other order it stays sound, possibly
+  weaker, because every predecessor it uses passed the disjointness
+  test.
+* **mandatory bound** — a job with ``laxity < p`` runs over ``[d, a+p)``
+  in every feasible schedule, so the measure of the union of these
+  windows (a :class:`~repro.core.intervalset.MutableIntervalSet`)
+  lower-bounds every schedule's span.
+* **max length** — a single running max (subsumed by the chain bound).
+
+The offline bounds are folds of it over the instance in arrival order:
+:func:`chain_lower_bound`, :func:`mandatory_lower_bound` and
 :func:`span_lower_bound`, the certified lower bound used to report sound
 competitive-ratio *upper estimates* on instances too large for the exact
-solver.
+solver.  The serving daemon's live telemetry
+(:mod:`repro.obs.live`) keeps one per tenant and feeds it each release.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left, bisect_right
 
+from ..core.intervalset import MutableIntervalSet
 from ..core.job import Instance
 
 __all__ = [
+    "OnlineOptLowerBound",
     "chain_lower_bound",
     "mandatory_lower_bound",
     "span_lower_bound",
-    "FenwickMax",
 ]
 
 
-class FenwickMax:
-    """A Fenwick (binary indexed) tree supporting prefix-maximum queries.
+class OnlineOptLowerBound:
+    """Monotone incremental lower bound on OPT's span (see module doc).
 
-    ``update(i, v)`` raises position ``i`` to at least ``v``;
-    ``query(i)`` returns ``max`` over positions ``0..i`` inclusive.
-    Values never decrease — sufficient for longest-path DP sweeps.
+    ``add(arrival, deadline, length)`` folds one released job in;
+    ``value`` only ever grows.  On a full instance fed in nondecreasing
+    arrival order the bound is :func:`span_lower_bound`.
     """
 
-    __slots__ = ("_n", "_tree")
+    __slots__ = ("_lcs", "_vals", "chain", "max_length", "_mandatory")
 
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("size must be non-negative")
-        self._n = n
-        self._tree = np.zeros(n + 1, dtype=np.float64)
+    def __init__(self) -> None:
+        # Pareto front: _lcs strictly increasing, _vals strictly increasing.
+        self._lcs: list[float] = []
+        self._vals: list[float] = []
+        self.chain = 0.0
+        self.max_length = 0.0
+        self._mandatory = MutableIntervalSet()
 
-    def update(self, i: int, value: float) -> None:
-        """Set position ``i`` (0-based) to ``max(current, value)``."""
-        if not 0 <= i < self._n:
-            raise IndexError(f"position {i} out of range [0, {self._n})")
-        i += 1
-        tree = self._tree
-        while i <= self._n:
-            if tree[i] < value:
-                tree[i] = value
-            i += i & (-i)
+    @property
+    def mandatory(self) -> float:
+        """The incremental mandatory-interval bound component."""
+        return self._mandatory.measure
 
-    def query(self, i: int) -> float:
-        """Maximum over positions ``0..i`` (0-based, inclusive); 0 if i < 0."""
-        if i >= self._n:
-            i = self._n - 1
-        best = 0.0
-        i += 1
-        tree = self._tree
-        while i > 0:
-            if tree[i] > best:
-                best = tree[i]
-            i -= i & (-i)
-        return best
+    @property
+    def value(self) -> float:
+        """The combined bound: max(chain, mandatory, max length)."""
+        chain = self.chain
+        mandatory = self._mandatory.measure
+        best = chain if chain >= mandatory else mandatory
+        return best if best >= self.max_length else self.max_length
+
+    def add(self, arrival: float, deadline: float, length: float) -> None:
+        """Fold one released job ``(a, d, p)`` into the bound."""
+        if length > self.max_length:
+            self.max_length = length
+        if arrival + length > deadline:  # laxity < p: mandatory interval
+            self._mandatory.add(deadline, arrival + length)
+        lcs, vals = self._lcs, self._vals
+        # Best chain whose last job completes by this arrival, extended.
+        i = bisect_right(lcs, arrival) - 1
+        cand = (vals[i] if i >= 0 else 0.0) + length
+        if cand > self.chain:
+            self.chain = cand
+        lc = deadline + length
+        # An entry completing no later than lc with a chain at least as
+        # heavy dominates the new one (this covers an entry at lc itself).
+        k = bisect_right(lcs, lc)
+        if k > 0 and vals[k - 1] >= cand:
+            return
+        # Otherwise the new entry replaces the entries from lc on that
+        # its chain dominates (an entry at lc itself among them).
+        j = bisect_left(lcs, lc, 0, k)
+        m = j
+        n = len(lcs)
+        while m < n and vals[m] <= cand:
+            m += 1
+        lcs[j:m] = [lc]
+        vals[j:m] = [cand]
+
+
+def _fold(instance: Instance) -> OnlineOptLowerBound:
+    """The online bound after every job of ``instance``, in arrival order."""
+    bound = OnlineOptLowerBound()
+    for job in instance.sorted_by_arrival():
+        bound.add(job.arrival, job.deadline, job.known_length)
+    return bound
 
 
 def chain_lower_bound(instance: Instance) -> float:
@@ -78,39 +125,9 @@ def chain_lower_bound(instance: Instance) -> float:
     A chain ``j_1, j_2, …, j_m`` with ``a(j_{l+1}) >= d(j_l) + p(j_l)``
     for every ``l`` satisfies ``span >= Σ p(j_l)`` under *any* scheduler,
     because each ``j_l`` must complete before ``j_{l+1}`` can even arrive.
-
-    Runs the classic weighted-chain DP in ``O(n log n)``: process jobs in
-    arrival order, query the best chain ending with latest-completion
-    ``<= a(j)``, extend, and index the result by the job's own latest
-    completion ``d(j) + p(j)``.
+    ``O(n log n)``.
     """
-    n = len(instance)
-    if n == 0:
-        return 0.0
-    arrays = instance.arrays()
-    arrival = arrays["arrival"]
-    latest_completion = arrays["deadline"] + arrays["length"]
-    length = arrays["length"]
-
-    # Coordinate-compress latest completions for the Fenwick tree.
-    coords = np.unique(latest_completion)
-    pos = {v: i for i, v in enumerate(coords.tolist())}
-
-    order = np.lexsort((latest_completion, arrival))  # by arrival, then lc
-    tree = FenwickMax(len(coords))
-    best_overall = 0.0
-    for idx in order:
-        a = arrival[idx]
-        # Best chain whose last job has latest completion <= a(j).  All
-        # such jobs have strictly earlier arrivals (a_i <= d_i < d_i+p_i
-        # <= a_j), hence were already inserted in this arrival-order sweep.
-        k = int(np.searchsorted(coords, a, side="right")) - 1
-        best_prefix = tree.query(k) if k >= 0 else 0.0
-        best_here = best_prefix + float(length[idx])
-        tree.update(pos[float(latest_completion[idx])], best_here)
-        if best_here > best_overall:
-            best_overall = best_here
-    return best_overall
+    return _fold(instance).chain
 
 
 def mandatory_lower_bound(instance: Instance) -> float:
@@ -125,18 +142,7 @@ def mandatory_lower_bound(instance: Instance) -> float:
     Complementary to the chain bound: strong for laxity-poor (rigid-ish)
     workloads where chains are short, vacuous when laxity >= p everywhere.
     """
-    starts = []
-    lengths = []
-    for job in instance:
-        p = job.known_length
-        if job.laxity < p:
-            starts.append(job.deadline)
-            lengths.append(job.arrival + p - job.deadline)
-    if not starts:
-        return 0.0
-    from ..core.intervals import union_measure
-
-    return union_measure(starts, lengths)
+    return _fold(instance).mandatory
 
 
 def span_lower_bound(instance: Instance) -> float:
@@ -146,10 +152,4 @@ def span_lower_bound(instance: Instance) -> float:
     The chain bound subsumes ``max p`` (single-job chains); the mandatory
     bound is independent of both and dominates on low-laxity workloads.
     """
-    if len(instance) == 0:
-        return 0.0
-    return max(
-        chain_lower_bound(instance),
-        mandatory_lower_bound(instance),
-        instance.max_length,
-    )
+    return _fold(instance).value

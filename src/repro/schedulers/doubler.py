@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import ClassVar
 
 from ..core.engine import JobView, SchedulerContext
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervalset import MutableIntervalSet
 from .base import OnlineScheduler
 
 __all__ = ["Doubler"]
@@ -42,21 +42,19 @@ class Doubler(OnlineScheduler):
         super().__init__()
         # Busy time already committed by started jobs: union of their
         # active intervals (clairvoyant => end times known at start).
-        self._committed = IntervalUnion()
+        self._committed = MutableIntervalSet()
 
     def reset(self) -> None:
         super().reset()
-        self._committed = IntervalUnion()
+        self._committed = MutableIntervalSet()
 
     def _covered(self, start: float, length: float) -> bool:
         """Whether ``[start, start+length)`` adds no new span."""
-        iv = Interval(start, start + length)
-        return self._committed.intersection_length(iv) >= length - 1e-12
+        covered = self._committed.intersection_length(start, start + length)
+        return covered >= length - 1e-12
 
     def _start(self, ctx: SchedulerContext, job: JobView) -> None:
-        self._committed = self._committed.insert(
-            Interval(ctx.now, ctx.now + job.length)
-        )
+        self._committed.add(ctx.now, ctx.now + job.length)
         ctx.start(job.id)
 
     def on_arrival(self, ctx: SchedulerContext, job: JobView) -> None:

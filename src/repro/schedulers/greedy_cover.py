@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import ClassVar
 
 from ..core.engine import JobView, SchedulerContext
-from ..core.intervals import Interval, IntervalUnion
+from ..core.intervalset import MutableIntervalSet
 from .base import OnlineScheduler
 
 __all__ = ["GreedyCover"]
@@ -42,7 +42,7 @@ class GreedyCover(OnlineScheduler):
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
         self.theta = theta
-        self._committed = IntervalUnion()
+        self._committed = MutableIntervalSet()
         self._pending: dict[int, JobView] = {}
 
     def clone(self) -> "GreedyCover":
@@ -50,21 +50,18 @@ class GreedyCover(OnlineScheduler):
 
     def reset(self) -> None:
         super().reset()
-        self._committed = IntervalUnion()
+        self._committed = MutableIntervalSet()
         self._pending = {}
 
     # -- mechanics -----------------------------------------------------------
     def _coverage(self, now: float, length: float) -> float:
         if length <= 0:
             return 1.0
-        iv = Interval(now, now + length)
-        return self._committed.intersection_length(iv) / length
+        return self._committed.intersection_length(now, now + length) / length
 
     def _start(self, ctx: SchedulerContext, job: JobView) -> None:
         self._pending.pop(job.id, None)
-        self._committed = self._committed.insert(
-            Interval(ctx.now, ctx.now + job.length)
-        )
+        self._committed.add(ctx.now, ctx.now + job.length)
         ctx.start(job.id)
 
     def _sweep_pending(self, ctx: SchedulerContext) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core.engine import simulate
 from ..core.job import Instance
+from ..core.metrics import reference_ratio
 from ..obs.runtime import get_recorder
 from ..perf.parallel import ParallelRunner, get_default_runner
 from ..schedulers.base import OnlineScheduler
@@ -44,14 +45,11 @@ class GridResult:
     def ratio(self) -> float:
         """Span over the reference value (competitive-ratio estimate).
 
-        * ``reference > 0`` — the plain quotient.
-        * ``reference == 0 and span == 0`` — an empty cell matched an
-          empty reference exactly: ratio ``1.0`` (not ``nan``/``inf``).
-        * ``reference == 0 and span > 0`` — ``inf`` (the reference says
-          "free" but the scheduler paid; the cell is degenerate).
-        * ``reference < 0`` — a span can never be negative, so a
-          negative reference is always a bug in the reference callable;
-          raise instead of silently masking it.
+        :func:`~repro.core.metrics.reference_ratio`'s convention: the
+        plain quotient, ``1.0`` for an empty cell against an empty
+        reference, ``inf`` for a positive span against a zero one.  A
+        negative reference raises: a span can never be negative, so it
+        is always a bug in the reference callable.
         """
         if self.reference < 0:
             raise ValueError(
@@ -59,9 +57,7 @@ class GridResult:
                 f"({self.scheduler_name}, {self.instance_name}): "
                 "reference callables must return a span lower bound >= 0"
             )
-        if self.reference == 0:
-            return 1.0 if self.span == 0 else float("inf")
-        return self.span / self.reference
+        return reference_ratio(self.span, self.reference)
 
 
 def _run_cell(cell: tuple[OnlineScheduler, Instance, bool, str, float]) -> GridResult:

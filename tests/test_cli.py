@@ -36,6 +36,12 @@ class TestRun:
         assert "span      : 0.0000" in out
         assert "ratio <= 1.0000" in out
 
+    def test_run_zero_jobs_batch_plus(self, capsys):
+        """An empty run against an empty bound reads ratio 1, not nan."""
+        assert main(["run", "batch+", "--jobs", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "lower bnd : 0.0000  (ratio <= 1.0000)" in out
+
 
 class TestCompare:
     def test_compare_lower_bound(self, capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +18,13 @@ class TestBasics:
         s = MutableIntervalSet()
         assert s.measure == 0.0
         assert len(s) == 0
-        assert not s.covers(0.0)
+        assert list(s.pairs()) == []
 
     def test_single_add(self):
         s = MutableIntervalSet()
         assert s.add(1.0, 3.0) == 2.0
         assert s.measure == 2.0
-        assert s.covers(1.0) and s.covers(2.9) and not s.covers(3.0)
+        assert list(s.pairs()) == [(1.0, 3.0)]
 
     def test_zero_width_ignored(self):
         s = MutableIntervalSet()
@@ -85,11 +84,14 @@ class TestBasics:
         actual = s.add(1.0, 5.0)
         assert predicted == pytest.approx(actual)
 
-    def test_covers_interval(self):
-        s = MutableIntervalSet()
-        s.add(0.0, 5.0)
-        assert s.covers_interval(1.0, 4.0)
-        assert not s.covers_interval(4.0, 6.0)
+    def test_components_overlapping_counts_touching(self):
+        """The query range is closed: components that only touch it count."""
+        s = MutableIntervalSet.from_sorted_pairs(
+            [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]
+        )
+        assert list(s.components_overlapping(3.0, 4.0)) == [(2.0, 3.0), (4.0, 5.0)]
+        assert list(s.components_overlapping(1.5, 1.9)) == []
+        assert list(s.components_overlapping(-1.0, 10.0)) == list(s.pairs())
 
     def test_from_sorted_pairs(self):
         """Abutting and overlapping pairs merge; empty pairs drop out."""
@@ -107,39 +109,52 @@ class TestBasics:
         assert u == IntervalUnion([Interval(0, 1), Interval(3, 4)])
 
 
+def snapshot(pairs: list[tuple[float, float]]) -> IntervalUnion:
+    """The reference: the sort-and-merge constructor over every pair."""
+    return IntervalUnion(Interval(lo, lo + w) for lo, w in pairs)
+
+
+def snapshot_overlap(union: IntervalUnion, lo: float, hi: float) -> float:
+    """Reference overlap: every snapshot component against ``[lo, hi)``."""
+    return sum(c.intersection_length(Interval(lo, hi)) for c in union)
+
+
 class TestEquivalenceProperty:
     @given(
         st.lists(st.tuples(finite, lengths), max_size=40),
     )
     @settings(max_examples=60)
     def test_matches_interval_union(self, pairs):
-        """The mutable set and the immutable union agree on every insert
-        sequence: same components, same measure, same added measures."""
+        """The mutable set agrees with the snapshot rebuilt from every
+        insert so far: same components, same measure, same added
+        measures."""
         s = MutableIntervalSet()
-        u = IntervalUnion()
-        for lo, w in pairs:
-            iv = Interval(lo, lo + w)
+        for k, (lo, w) in enumerate(pairs):
+            before = snapshot(pairs[:k])
+            after = snapshot(pairs[: k + 1])
             predicted = s.added_measure(lo, lo + w)
             assert predicted == pytest.approx(
-                u.added_measure(iv), abs=1e-6
+                after.measure - before.measure, abs=1e-6
             )
             s.add(lo, lo + w)
-            u = u.insert(iv)
-        assert s.measure == pytest.approx(u.measure, abs=1e-6)
-        assert s.to_union() == u
+            assert s.to_union() == after
+        assert s.measure == pytest.approx(snapshot(pairs).measure, abs=1e-6)
 
     @given(
-        st.lists(st.tuples(finite, lengths), min_size=1, max_size=30),
+        st.lists(st.tuples(finite, lengths), max_size=30),
         finite,
+        lengths,
     )
     @settings(max_examples=60)
-    def test_covers_matches(self, pairs, probe):
+    def test_intersection_length_matches(self, pairs, lo, w):
+        """Only the components near ``[lo, lo + w)`` are read; the sum
+        over every snapshot component gives the same value exactly."""
         s = MutableIntervalSet()
-        u = IntervalUnion()
-        for lo, w in pairs:
-            s.add(lo, lo + w)
-            u = u.insert(Interval(lo, lo + w))
-        assert s.covers(probe) == u.contains(probe)
+        for a, b in pairs:
+            s.add(a, a + b)
+        assert s.intersection_length(lo, lo + w) == snapshot_overlap(
+            snapshot(pairs), lo, lo + w
+        )
 
     @given(st.lists(st.tuples(finite, lengths), max_size=30))
     @settings(max_examples=60)
@@ -164,4 +179,4 @@ class TestEquivalenceProperty:
         assert list(s) == list(u)
         assert s.measure == u.measure
         s.add(0.0, 1.0)
-        assert s.to_union() == u.insert(Interval(0.0, 1.0))
+        assert s.to_union() == IntervalUnion.from_pairs([*spans, (0.0, 1.0)])

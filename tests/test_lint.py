@@ -56,7 +56,7 @@ def codes(findings) -> set[str]:
 class TestRegistry:
     def test_all_rules_registered(self):
         got = {r.code for r in ALL_RULES}
-        assert {"RL001", "RL002", "RL003", "RL004", "RL005", "RL006"} <= got
+        assert {"RL001", "RL002", "RL003", "RL004", "RL005"} <= got
 
     def test_rule_by_code(self):
         assert rule_by_code("RL001").code == "RL001"
@@ -310,29 +310,6 @@ class TestRL005:
         assert lint_source(src, "x.py") == []
 
 
-# ---------------------------------------------------------------------------
-# RL006 — unused imports
-# ---------------------------------------------------------------------------
-
-
-class TestRL006:
-    def test_unused_import_flagged(self):
-        src = "import math\n\ndef f():\n    return 1\n"
-        assert codes(lint_source(src, "x.py")) == {"RL006"}
-
-    def test_used_via_attribute_ok(self):
-        src = "import math\n\ndef f():\n    return math.pi\n"
-        assert lint_source(src, "x.py") == []
-
-    def test_dunder_all_export_ok(self):
-        src = "from os import path\n\n__all__ = ['path']\n"
-        assert lint_source(src, "x.py") == []
-
-    def test_init_py_exempt(self):
-        src = "from .mod import thing\n"
-        assert lint_source(src, "pkg/__init__.py") == []
-
-
 HOT = "src/repro/core/engine.py"
 
 
@@ -574,23 +551,37 @@ class TestLiveTelemetryScope:
 # ---------------------------------------------------------------------------
 
 
+#: A one-finding module: RL005, a scheduler ``reset()`` without
+#: ``super().reset()`` (line 5), on any path.
+FORGETFUL_SRC = (
+    "from repro.schedulers.base import OnlineScheduler\n\n\n"
+    "class Forgetful(OnlineScheduler):\n"
+    "    def reset(self):{comment}\n"
+    "        self.items = []\n"
+)
+
+
+def forgetful(comment: str = "") -> str:
+    return FORGETFUL_SRC.format(comment=comment)
+
+
 class TestSuppression:
     def test_inline_ignore(self):
-        src = "import math  # lint: ignore[RL006]\n\ndef f():\n    return 1\n"
+        src = forgetful("  # lint: ignore[RL005]")
         assert lint_source(src, "x.py") == []
 
     def test_noqa_spelling(self):
-        src = "import math  # noqa: RL006\n\ndef f():\n    return 1\n"
+        src = forgetful("  # noqa: RL005")
         assert lint_source(src, "x.py") == []
 
     def test_wrong_code_does_not_suppress(self):
-        src = "import math  # lint: ignore[RL001]\n\ndef f():\n    return 1\n"
-        assert codes(lint_source(src, "x.py")) == {"RL006"}
+        src = forgetful("  # lint: ignore[RL001]")
+        assert codes(lint_source(src, "x.py")) == {"RL005"}
 
 
 class TestBaseline:
     def test_round_trip_and_filter(self, tmp_path):
-        findings = lint_source("import math\n", "x.py")
+        findings = lint_source(forgetful(), "x.py")
         assert findings
         base = Baseline.from_findings(findings)
         path = tmp_path / "baseline.json"
@@ -601,7 +592,7 @@ class TestBaseline:
 
     def test_missing_file_is_empty(self, tmp_path):
         base = load_baseline(tmp_path / "nope.json")
-        findings = lint_source("import math\n", "x.py")
+        findings = lint_source(forgetful(), "x.py")
         fresh, absorbed = base.filter(findings)
         assert len(fresh) == 1 and absorbed == 0
 
@@ -626,10 +617,10 @@ class TestRunner:
 
     def test_json_rendering(self, tmp_path):
         f = tmp_path / "m.py"
-        f.write_text("import math\n")
+        f.write_text(forgetful())
         report = lint_paths([f])
         data = json.loads(report.render_json())
-        assert data["findings"][0]["rule"] == "RL006"
+        assert data["findings"][0]["rule"] == "RL005"
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +655,14 @@ class TestCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_select_restricts_rules(self):
-        # The leaky fixture only violates RL001; selecting RL006 passes it.
-        proc = _run_cli(str(LEAKY), "--no-baseline", "--select", "RL006")
+        # The leaky fixture only violates RL001; selecting RL005 passes it.
+        proc = _run_cli(str(LEAKY), "--no-baseline", "--select", "RL005")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_list_rules(self):
         proc = _run_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
             assert code in proc.stdout
 
 

@@ -16,7 +16,6 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,6 @@ from repro.lint import (
     lint_paths,
     rule_by_code,
 )
-from repro.lint.base import Rule
 from repro.lint.dataflow import extract_summary, module_name_for
 from repro.lint.dataflow.cache import ruleset_digest
 from repro.lint.invariants.typestate import LifecycleTypestateRule

@@ -23,14 +23,33 @@ from repro.workloads import poisson_instance, small_integral_instance
 
 
 # -- reference: the IntervalUnion implementation local_search replaced ------
+def reference_candidate_starts(job: Job, union: IntervalUnion) -> list[float]:
+    """Window ends plus ``e`` and ``e - p`` for every component endpoint."""
+    a, d, p = job.arrival, job.deadline, job.known_length
+    cands = {a, d}
+    for comp in union.components:
+        for e in (comp.left, comp.right):
+            for s in (e, e - p):
+                if a <= s <= d:
+                    cands.add(s)
+    return sorted(cands)
+
+
+def reference_added_measure(union: IntervalUnion, interval: Interval) -> float:
+    """``len(interval)`` minus its overlap with every component."""
+    return interval.length - sum(
+        c.intersection_length(interval) for c in union.components
+    )
+
+
 def reference_best_start(job: Job, union: IntervalUnion) -> float:
     """The added-measure-minimising start (ties -> latest start)."""
     best_s = job.deadline
-    best_cost = union.added_measure(
-        Interval(job.deadline, job.deadline + job.known_length)
+    best_cost = reference_added_measure(
+        union, Interval(job.deadline, job.deadline + job.known_length)
     )
-    for s in candidate_starts(job, union):
-        cost = union.added_measure(Interval(s, s + job.known_length))
+    for s in reference_candidate_starts(job, union):
+        cost = reference_added_measure(union, Interval(s, s + job.known_length))
         if cost < best_cost - 1e-12 or (
             cost <= best_cost + 1e-12 and s > best_s
         ):
@@ -54,11 +73,12 @@ def reference_local_search(schedule: Schedule, max_sweeps: int = 20) -> Schedule
             )
             s = reference_best_start(job, others)
             if abs(s - starts[job.id]) > 1e-12:
-                old_cost = others.added_measure(
-                    Interval(starts[job.id], starts[job.id] + job.known_length)
+                old_cost = reference_added_measure(
+                    others,
+                    Interval(starts[job.id], starts[job.id] + job.known_length),
                 )
-                new_cost = others.added_measure(
-                    Interval(s, s + job.known_length)
+                new_cost = reference_added_measure(
+                    others, Interval(s, s + job.known_length)
                 )
                 if new_cost < old_cost - 1e-12:
                     starts[job.id] = s
@@ -101,20 +121,35 @@ def _pin_instance(seed: int) -> Instance:
 class TestCandidateStarts:
     def test_empty_union_gives_window_ends(self):
         job = Instance.from_triples([(1, 4, 2)])[0]
-        assert candidate_starts(job, IntervalUnion()) == [1.0, 5.0]
+        assert candidate_starts(job, MutableIntervalSet()) == [1.0, 5.0]
 
     def test_component_endpoints_included(self):
         job = Instance.from_triples([(0, 10, 2)])[0]
-        union = IntervalUnion([Interval(3, 6)])
+        union = MutableIntervalSet.from_sorted_pairs([(3.0, 6.0)])
         cands = candidate_starts(job, union)
         # endpoints 3, 6 and their -p shifts 1, 4, plus window ends 0, 10
         assert set(cands) == {0.0, 1.0, 3.0, 4.0, 6.0, 10.0}
 
     def test_candidates_clipped_to_window(self):
         job = Instance.from_triples([(5, 1, 2)])[0]
-        union = IntervalUnion([Interval(0, 100)])
+        union = MutableIntervalSet.from_sorted_pairs([(0.0, 100.0)])
         for s in candidate_starts(job, union):
             assert 5.0 <= s <= 6.0
+
+    def test_matches_reference_over_every_component(self):
+        """Reading only the components near the window gives exactly the
+        candidates of a scan over every component."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            pairs = sorted(
+                (lo, lo + float(rng.uniform(0, 6)))
+                for lo in rng.uniform(0, 60, size=int(rng.integers(0, 25)))
+            )
+            a = float(rng.uniform(0, 50))
+            job = Job(0, a, a + float(rng.uniform(0, 12)), float(rng.uniform(0.1, 8)))
+            assert candidate_starts(
+                job, MutableIntervalSet.from_sorted_pairs(pairs)
+            ) == reference_candidate_starts(job, IntervalUnion.from_pairs(pairs))
 
 
 class TestGreedyOverlap:
@@ -209,7 +244,7 @@ class TestFastPathEquivalence:
             for _ in range(n):
                 lo = float(rng.uniform(0, 50))
                 w = float(rng.uniform(0, 10))
-                union = union.insert(Interval(lo, lo + w))
+                union = IntervalUnion([*union, Interval(lo, lo + w)])
                 mset.add(lo, lo + w)
             a = float(rng.uniform(0, 40))
             lax = float(rng.uniform(0, 15))

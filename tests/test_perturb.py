@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Instance, InvalidInstanceError
+from repro.core import InvalidInstanceError
 from repro.offline import exact_optimal_span
 from repro.workloads import (
     drop_jobs,

@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import Interval, IntervalUnion, union_measure
+from repro.core.intervals import IntervalUnion, union_measure
+from repro.core.intervalset import MutableIntervalSet
 from repro.core.metrics import concurrency_profile
 
 finite = st.floats(
@@ -85,28 +86,34 @@ class TestIntervalUnionProperties:
 
     @given(interval_lists(max_size=20))
     def test_idempotent(self, data):
+        """Merging a union with its own components changes nothing."""
         starts, lens = data
         u = IntervalUnion.from_starts_lengths(starts, lens)
-        assert u.union(u) == u
+        assert IntervalUnion([*u, *u]) == u
 
     @given(interval_lists(max_size=20), finite, lengths)
     def test_added_measure_consistent(self, data, s, p):
+        """The set's added measure is the growth of the rebuilt snapshot."""
         starts, lens = data
-        union = IntervalUnion.from_starts_lengths(starts, lens)
-        iv = Interval(s, s + p)
-        grown = union.insert(iv)
-        added = union.added_measure(iv)
-        assert abs((union.measure + added) - grown.measure) <= 1e-6 * max(
+        mset = MutableIntervalSet.from_sorted_pairs(
+            sorted((a, a + b) for a, b in zip(starts, lens))
+        )
+        before = mset.measure
+        added = mset.added_measure(s, s + p)
+        grown = IntervalUnion.from_starts_lengths([*starts, s], [*lens, p])
+        assert abs((before + added) - grown.measure) <= 1e-6 * max(
             1.0, grown.measure
         )
 
     @given(interval_lists(max_size=20))
     def test_gaps_complement(self, data):
+        """Hull = measure + the gaps between consecutive components."""
         starts, lens = data
         union = IntervalUnion.from_starts_lengths(starts, lens)
         if union.empty:
             return
-        gap_total = sum(g.length for g in union.gaps())
+        comps = union.components
+        gap_total = sum(b.left - a.right for a, b in zip(comps, comps[1:]))
         hull = union.right - union.left
         assert abs(hull - union.measure - gap_total) <= 1e-6 * max(1.0, hull)
 

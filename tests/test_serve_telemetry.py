@@ -24,7 +24,7 @@ from repro.obs.explain import explain_trace
 from repro.obs.jsonl import read_jsonl
 from repro.obs.aggregate import summarize_trace
 from repro.obs.top import fetch_snapshot, render_top
-from repro.serve.daemon import MERGED_TRACE_NAME, ServeDaemon
+from repro.serve.daemon import MERGED_TRACE_NAME
 
 from tests.test_serve_daemon import (
     Client,

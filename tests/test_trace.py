@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.adversaries import NonClairvoyantLowerBoundAdversary, geometric_profile
 from repro.core import Instance, TraceKind, simulate
