@@ -30,7 +30,7 @@ __all__ = [
 #: writers (protocol records) and the structured recorder — a stray
 #: print would interleave with the JSONL protocol stream itself.
 #: ``repro/obs/live.py`` rides along: the live telemetry plane is fed
-#: once per record from the serve sessions' collect loop.
+#: once per engine event by the serve sessions' output sink.
 HOT_PATH_FRAGMENTS = (
     "repro/core/",
     "repro/schedulers/",

@@ -103,13 +103,16 @@ def telemetry_addr(override: str | None = None) -> tuple[str, int] | None:
 
 
 class TenantTelemetry:
-    """One tenant's live aggregates, fed one :class:`ObsRecord` at a time.
+    """One tenant's live aggregates, fed one engine event at a time.
 
-    The serve session calls the ``_handle_*`` methods directly from its
-    per-op collect loop (they are inside the RL011/RL012 hot-section
-    lint scope: no stdio, no per-job object materialisation);
-    :meth:`observe` is the generic record-dispatch entry used by trace
-    replay (``repro obs explain`` / ``summarize``) and tests.
+    The serve session's output sink calls the ``_handle_*`` methods
+    directly, with the attributes of each ``engine.release`` /
+    ``engine.start`` / ``engine.completion`` instant and each decision's
+    rule, as the engine emits them; no record is built for the feed
+    (the handlers are inside the RL011/RL012 hot-section lint scope: no
+    stdio, no per-job object materialisation).  :meth:`observe` is the
+    record-dispatch entry used by trace replay (``repro obs explain`` /
+    ``summarize``) and tests.
     """
 
     __slots__ = (

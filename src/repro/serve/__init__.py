@@ -10,7 +10,8 @@ Layers
 * :mod:`repro.serve.protocol` — the line protocol (ops in, records
   out), size/queue knobs, tenant-name hygiene.
 * :mod:`repro.serve.session` — :class:`TenantSession`: one tenant's
-  engine + recorder + replayable input-op log.
+  engine + output sink (protocol records and telemetry, plus a trace
+  under ``--trace-dir``) + replayable input-op log.
 * :mod:`repro.serve.checkpoint` — event-sourced checkpoints over the
   versioned JSONL sink; restore by deterministic replay; pool fan-out
   verification.

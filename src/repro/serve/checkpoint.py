@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from ..obs.jsonl import dump_jsonl, parse_jsonl
+from ..obs.live import LiveAggregator
 from ..perf.parallel import ParallelRunner, get_default_runner
 from .session import TenantSession
 
@@ -178,10 +179,20 @@ def load_checkpoint(
     return meta, ops
 
 
-def restore_session(path: "str | Path") -> TenantSession:
-    """Rebuild one tenant session from its checkpoint file."""
+def restore_session(
+    path: "str | Path",
+    *,
+    live: LiveAggregator | None = None,
+    trace: bool = False,
+) -> TenantSession:
+    """Rebuild one tenant session from its checkpoint file.
+
+    With ``live``, the replay feeds the tenant's telemetry in it; with
+    ``trace``, the session keeps a trace (see :class:`TenantSession`).
+    """
     meta, ops = load_checkpoint(path)
-    return TenantSession.restore(meta, ops)
+    telemetry = live.tenant(str(meta["tenant"])) if live is not None else None
+    return TenantSession.restore(meta, ops, telemetry=telemetry, trace=trace)
 
 
 def list_checkpoints(directory: "str | Path") -> list[Path]:
@@ -192,11 +203,17 @@ def list_checkpoints(directory: "str | Path") -> list[Path]:
     return sorted(root.glob(f"*{CHECKPOINT_SUFFIX}"))
 
 
-def restore_all(directory: "str | Path") -> dict[str, TenantSession]:
-    """Restore every checkpointed tenant under ``directory``."""
+def restore_all(
+    directory: "str | Path",
+    *,
+    live: LiveAggregator | None = None,
+    trace: bool = False,
+) -> dict[str, TenantSession]:
+    """Restore every checkpointed tenant under ``directory``
+    (``live`` and ``trace`` as for :func:`restore_session`)."""
     sessions: dict[str, TenantSession] = {}
     for path in list_checkpoints(directory):
-        session = restore_session(path)
+        session = restore_session(path, live=live, trace=trace)
         sessions[session.tenant] = session
     return sessions
 

@@ -242,9 +242,14 @@ def job_from_op(op: dict[str, Any]) -> Job:
         raise ProtocolError(str(exc), tenant=tenant) from None
 
 
+#: The compact encoder ``encode_record`` uses: the defaults of
+#: ``json.dumps(..., separators=(",", ":"))``, built once.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_record(record: dict[str, Any]) -> bytes:
     """One output record as a JSONL-encoded line (trailing newline)."""
-    return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODE(record) + "\n").encode("utf-8")
 
 
 def error_record(

@@ -24,6 +24,7 @@ from repro.serve.checkpoint import (
     save_checkpoint,
 )
 from repro.serve.daemon import ServeDaemon
+from repro.serve.protocol import encode_record
 from repro.serve.session import TenantSession
 
 TIMEOUT = 60.0
@@ -576,6 +577,68 @@ class TestDaemonRestore:
         run_async(scenario())
 
 
+class TestDaemonRestoreTelemetry:
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["no-trace-dir", "trace-dir"])
+    def test_restore_keeps_tenant_telemetry(self, tmp_path, traced):
+        """A killed and restored daemon reports the same per-tenant
+        telemetry as before the kill: the replay feeds it."""
+        ckpt = tmp_path / "ckpt"
+        traces = tmp_path / "traces"
+        flags = {"checkpoint_dir": ckpt, "telemetry": True}
+        if traced:
+            flags["trace_dir"] = traces
+
+        async def scenario():
+            daemon1, task1, sock1 = await start_daemon(tmp_path, **flags)
+            client1 = await Client.connect(sock1)
+            await client1.recv()  # ready
+            await client1.send({"op": "open", "tenant": "a",
+                                "scheduler": "cdb", "params": {"alpha": 2.0}})
+            for i in range(12):
+                await client1.send(
+                    job_line("a", i, i * 0.7, i * 0.7 + 2.0, 1.0 + i % 3))
+                await client1.send(
+                    job_line("b", i, i * 0.5, i * 0.5 + 1.0, 0.5 + i % 2))
+            await client1.send({"op": "advance", "tenant": "b", "t": 20.0})
+            await client1.send({"op": "checkpoint"})
+            acks = 0
+            while acks < 2:  # every op before the checkpoint is applied
+                acks += (await client1.recv())["kind"] == "serve.checkpoint"
+            await client1.send({"op": "stats"})
+            before = (await client1.recv_until(
+                lambda r: r["kind"] == "serve.stats"
+            ))[-1]["telemetry"]
+            await hard_kill(daemon1, task1)  # SIGKILL: no drain, no flush
+            await client1.close()
+
+            second = tmp_path / "second"
+            second.mkdir()
+            daemon2, task2, sock2 = await start_daemon(
+                second, restore=True, **flags
+            )
+            client2 = await Client.connect(sock2)
+            assert (await client2.recv())["tenants"] == ["a", "b"]
+            await client2.send({"op": "stats"})
+            after = (await client2.recv_until(
+                lambda r: r["kind"] == "serve.stats"
+            ))[-1]["telemetry"]
+            assert before["tenants"]["a"]["jobs"]["released"] == 12
+            assert before["tenants"]["b"]["jobs"]["completed"] == 12
+            assert after["tenants"] == before["tenants"]
+            assert after["aggregate"] == before["aggregate"]
+            await client2.close()
+            await stop_daemon(daemon2, task2)
+
+        run_async(scenario())
+        if traced:  # the drained trace of a restored tenant reconciles
+            for tenant in ("a", "b"):
+                trace = traces / f"{tenant}.trace.jsonl"
+                assert main(["obs", "explain", str(trace), "--strict"]) == 0
+        else:
+            assert not traces.exists()
+
+
 class TestDaemonRestoreRace:
     def test_connection_waits_for_restore_before_ready(
         self, tmp_path, monkeypatch
@@ -594,9 +657,9 @@ class TestDaemonRestoreRace:
 
         gate = threading.Event()
 
-        def gated_restore_all(directory):
+        def gated_restore_all(directory, **kwargs):
             assert gate.wait(TIMEOUT), "restore gate never opened"
-            return restore_all(directory)
+            return restore_all(directory, **kwargs)
 
         monkeypatch.setattr(daemon_module, "restore_all", gated_restore_all)
 
@@ -655,6 +718,48 @@ class TestDaemonWriterFailure:
             ))[-1]
             assert closed["tenant"] == "t2"
             await client2.close()
+            await stop_daemon(daemon, task)
+
+        run_async(scenario())
+
+
+class TestDaemonWriterBatching:
+    def test_burst_goes_out_in_fewer_writes_than_records(self, tmp_path):
+        """The writer sends everything queued per wake-up in one write;
+        the bytes are still the records encoded one by one."""
+        ops = [job_line("t1", i, float(i), i + 1.0, 0.5) for i in range(200)]
+        ops.append({"op": "close", "tenant": "t1"})
+        session = TenantSession("t1")
+        reference = list(session.hello())
+        for op in ops:
+            reference += session.apply(dict(op))
+        expected = b"".join(encode_record(r) for r in reference)
+
+        async def scenario():
+            daemon, task, sock = await start_daemon(tmp_path)
+            client = await Client.connect(sock)
+            await client.recv()  # ready
+            (conn,) = daemon.connections
+            writes = []
+            write = conn._writer.write
+
+            def counting_write(data):
+                writes.append(len(data))
+                write(data)
+
+            conn._writer.write = counting_write
+            await client.send_raw(
+                b"".join((json.dumps(op) + "\n").encode() for op in ops)
+            )
+            lines = []
+            while not lines or b'"kind":"serve.closed"' not in lines[-1]:
+                line = await asyncio.wait_for(client.reader.readline(), 10.0)
+                assert line, "EOF before serve.closed"
+                lines.append(line)
+            assert b"".join(lines) == expected
+            assert sum(writes) == len(expected)
+            assert len(writes) < len(reference)
+            await client.close()
             await stop_daemon(daemon, task)
 
         run_async(scenario())

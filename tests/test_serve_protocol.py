@@ -224,3 +224,35 @@ class TestRecords:
             "op": "job",
         }
         assert "tenant" not in error_record("boom")
+
+
+#: One record of every output kind, plus the values JSON treats specially.
+EVERY_KIND = [
+    {"kind": "serve.ready", "version": 1, "default_scheduler": "batch+",
+     "schedulers": ["batch", "batch+"], "tenants": []},
+    {"kind": "serve.open", "tenant": "t1", "scheduler": "cdb",
+     "clairvoyant": True, "params": {"alpha": 2.0}},
+    {"kind": "decision", "tenant": "t1", "rule": "class-boundary",
+     "category": 3, "length": 2.05, "job": 0, "t": 1.78, "scheduler": "cdb"},
+    {"kind": "start", "tenant": "t1", "job": 2**63 - 1, "t": 0.1 + 0.2},
+    {"kind": "complete", "tenant": "t1", "job": 0, "t": 1e-300},
+    {"kind": "serve.closed", "tenant": "t1", "span": 12.5, "jobs": 3,
+     "events": 9},
+    {"kind": "serve.checkpoint", "tenant": "t1", "path": "c/t1.ckpt.jsonl",
+     "ops": 4, "emitted": 11},
+    {"kind": "serve.trace", "tenant": "t1", "path": "tr/t1.trace.jsonl"},
+    {"kind": "serve.stats", "lines_in": 3, "records_out": 7, "errors": 0,
+     "draining": False, "tenants": {"t1": {"queued": 0, "clock": 2.0}},
+     "telemetry": {"kind": "telemetry", "enabled": False, "tenants": {}}},
+    error_record("tâche refusée ✗ 日本   \"quoted\" \\ \n", tenant="t1",
+                 op="job"),
+    {"kind": "serve.bye", "tenants": 1},
+    {"kind": "serve.stats", "nan": float("nan"), "inf": float("inf"),
+     "ninf": float("-inf"), "ratio": None, "neg": -0.0},
+]
+
+
+@pytest.mark.parametrize("record", EVERY_KIND, ids=lambda r: str(r["kind"]))
+def test_encode_record_matches_json_dumps(record):
+    expected = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+    assert encode_record(record) == expected

@@ -177,7 +177,7 @@ class TestSessionFailureContainment:
 
 class TestSessionTrace:
     def test_trace_reconciles_under_strict_explain(self, tmp_path):
-        session = TenantSession("t1")
+        session = TenantSession("t1", trace=True)
         drive(session, [(0, 2, 1), (0.5, 1.5, 3), (4, 5, 2)])
         path = session.write_trace(tmp_path)
         assert main(["obs", "explain", path, "--strict"]) == 0
@@ -185,7 +185,7 @@ class TestSessionTrace:
     def test_trace_meta_identifies_session(self, tmp_path):
         from repro.obs import read_jsonl
 
-        session = TenantSession("t9", scheduler="batch")
+        session = TenantSession("t9", scheduler="batch", trace=True)
         drive(session, [(0, 2, 1)])
         loaded = read_jsonl(session.write_trace(tmp_path))
         assert loaded.meta["tenant"] == "t9"
@@ -205,3 +205,47 @@ class TestSessionCohortParity:
         )
         starts = {o["job"]: o["t"] for o in outs if o["kind"] == "start"}
         assert starts == batch.schedule.starts()
+
+
+class TestSessionRecordCap:
+    def test_capped_trace_never_truncates_output(self, monkeypatch):
+        """A trace that reaches its record cap drops trace records only:
+        the session still emits exactly what an uncapped one emits."""
+        import random
+
+        from repro.obs.recorder import TraceRecorder
+        from repro.serve import session as session_module
+
+        rng = random.Random(3)
+        inst = Instance.from_triples(
+            [(i * 1.5 + rng.uniform(0, 1), rng.uniform(0, 4), rng.uniform(0.5, 3))
+             for i in range(60)]
+        )
+        jobs = [(j.arrival, j.deadline, j.length) for j in inst.jobs]
+        reference = drive(TenantSession("t1", trace=True), jobs)
+
+        monkeypatch.setattr(
+            session_module, "TraceRecorder",
+            lambda **kwargs: TraceRecorder(max_records=50, **kwargs),
+        )
+        capped = TenantSession("t1", trace=True)
+        outs = drive(capped, jobs)
+        assert capped.recorder is not None
+        assert capped.recorder.metrics.counters["obs.records_dropped"] > 0
+        assert len(outs) > 50
+        assert outs == reference
+        batch = simulate(make_scheduler("batch+"), inst)
+        assert outs[-1]["kind"] == "serve.closed"
+        assert outs[-1]["span"] == batch.span
+
+
+class TestSessionWithoutTrace:
+    def test_untraced_session_keeps_no_records(self, tmp_path):
+        traced = TenantSession("t1", trace=True)
+        untraced = TenantSession("t1")
+        jobs = [(0, 2, 1), (0.5, 1.5, 3), (4, 5, 2)]
+        assert drive(untraced, jobs) == drive(traced, jobs)
+        assert untraced.recorder is None
+        with pytest.raises(RuntimeError, match="keeps no trace"):
+            untraced.write_trace(tmp_path)
+        assert list(tmp_path.iterdir()) == []
