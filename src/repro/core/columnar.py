@@ -1686,32 +1686,25 @@ class ColumnarCore:
 
         obs = self._obs
         if obs is not None:
-            schedule, resolved = materialize()
-            obs.gauge_set("engine.span", schedule.span)
+            # Off the columns too: plen_list holds each job's committed
+            # length in admission order, the materialised Instance's order.
+            obs.gauge_set("engine.span", span)
             obs.counter_add("engine.jobs", float(n))
-            for job in resolved:
-                assert job.length is not None
-                obs.histogram_observe("engine.job_length", job.length)
+            for length in table.plen_list[:n]:
+                assert length is not None
+                obs.histogram_observe("engine.job_length", length)
             obs.instant(
                 "engine.run_end",
                 t=self._now,
-                span=schedule.span,
+                span=span,
                 jobs=n,
                 events=self._events_processed,
-            )
-            return SimulationResult(
-                schedule=schedule,
-                instance=resolved,
-                events_processed=self._events_processed,
-                scheduler=self._scheduler,
-                trace=self._trace,
-                recorder=obs,
             )
         return SimulationResult(
             events_processed=self._events_processed,
             scheduler=self._scheduler,
             trace=self._trace,
-            recorder=None,
+            recorder=obs,
             materialize=materialize,
             span=span,
         )

@@ -392,13 +392,12 @@ class SimulationResult:
         The scheduler object (exposes algorithm-specific statistics such
         as flag jobs).
 
-    Disarmed runs construct results *lazily*: ``span`` and
+    Results are constructed *lazily*: ``span`` and
     ``events_processed`` are available immediately, while the
     ``Job``/``Instance``/``Schedule`` objects are materialised from the
     job table on first access of ``schedule``/``instance`` (benchmark
-    loops that only read ``span`` never pay for them).  Armed runs build
-    them eagerly for the ``engine.run_end`` metrics; either way the
-    attribute API is identical.
+    loops and served closes that only read ``span`` never pay for them;
+    armed runs take the ``engine.run_end`` metrics off the columns).
     """
 
     __slots__ = (
