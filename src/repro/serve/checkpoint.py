@@ -1,7 +1,7 @@
 """Event-sourced checkpoints for serve sessions.
 
 A checkpoint is **not** pickled engine state.  It is the session's
-input-op log plus its emitted-output counter, kept as a versioned JSONL
+input ops plus its emitted-output counter, kept as a versioned JSONL
 journal (the format the observability traces use, see
 :mod:`repro.obs.jsonl`).  Restoring replays the log through a fresh
 deterministic session, suppressing the first ``emitted`` regenerated
@@ -23,11 +23,17 @@ A session's first save writes the header and its whole op log
 atomically (:func:`repro.obs.jsonl.dump_jsonl`: ``mkstemp``, ``fsync``,
 ``os.replace``).  Every later save appends the ops logged since the
 previous save plus one sealing ``mark`` row in a single write, then
-fsyncs, so a save costs the new ops, not the whole log.  The header and
-each mark are *seals*: :func:`load_checkpoint` returns the state at the
-last one, dropping op rows after it and a torn final line, so a crash
-mid-append restores the previous save.  A restored session's first save
-rewrites (compacts) the file.
+fsyncs (:func:`repro.serve.journal.append_jsonl`, the writer the
+streamed trace shares), so a save costs the new ops, not the whole log.
+The header and each mark are *seals*: :func:`load_checkpoint` returns
+the state at the last one, dropping op rows after it and a torn final
+line, so a crash mid-append restores the previous save.
+
+A successful save empties the session's ``input_log``: the journal now
+holds those ops, so the session keeps only the ones it lacks.  A failed
+write or fsync keeps them, and the next save appends them again.  A
+restored session replays every journaled op into its log, so its first
+save rewrites (compacts) the file.
 
 Verification fans out over the process pool: :func:`verify_checkpoints`
 replays every checkpoint in parallel via
@@ -39,13 +45,13 @@ checkpoints validates at full core count.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
 
 from ..obs.jsonl import dump_jsonl, parse_jsonl
 from ..obs.live import LiveAggregator
 from ..perf.parallel import ParallelRunner, get_default_runner
+from .journal import append_jsonl
 from .session import TenantSession
 
 __all__ = [
@@ -74,57 +80,40 @@ def checkpoint_path(directory: "str | Path", tenant: str) -> Path:
 def save_checkpoint(session: TenantSession, directory: "str | Path") -> str:
     """Durably save ``session``'s checkpoint; returns the path.
 
-    The journal already holds every op but the last
-    ``ops_since_checkpoint``.  When it holds none (a session's first
-    save, or a restored session's, whose replay counts as new ops) the
-    file is rewritten atomically; otherwise the missing ops and a
-    sealing mark are appended, so every save of one session must go to
-    the same ``directory``.
-    """
-    path = checkpoint_path(directory, session.tenant)
-    saved = len(session.input_log) - session.ops_since_checkpoint
-    if saved:
-        _append(path, session, saved)
-    else:
-        meta, rows = session.checkpoint_state()
-        dump_jsonl(path, rows, tool=_TOOL, **meta)
-    session.ops_since_checkpoint = 0
-    return str(path)
-
-
-def _append(path: Path, session: TenantSession, saved: int) -> None:
-    """Append the ops after the first ``saved`` and a mark; fsync.
-
-    One write, so a crash leaves at most one torn final line.  A write
-    or fsync that fails is cut back off, so the file still ends at its
-    last seal and the next save appends the same ops again.
+    The journal already holds every op the session no longer keeps in
+    ``input_log``.  When it holds none (a session's first save, or a
+    restored session's, whose replay logs every op again) the file is
+    rewritten atomically; otherwise the logged ops and a sealing mark
+    are appended in one fsynced write, so every save of one session
+    must go to the same ``directory``.  Either way the log is emptied
+    once the ops are on disk.  Raises ``RuntimeError`` on a session
+    opened with ``log_ops=False``: it kept no ops to save.
     """
     log = session.input_log
-    lines = [json.dumps({"kind": "op", "data": op}) for op in log[saved:]]
-    lines.append(
-        json.dumps(
+    if log is None:
+        raise RuntimeError(
+            f"tenant {session.tenant!r} keeps no op log "
+            "(the session was opened with log_ops=False)"
+        )
+    path = checkpoint_path(directory, session.tenant)
+    if session.ops > len(log):
+        rows = [{"kind": "op", "data": op} for op in log]
+        rows.append(
             {
                 "kind": "mark",
-                "ops": len(log),
+                "ops": session.ops,
                 "emitted": session.emitted,
                 "clock": session.clock,
                 "closed": session.closed,
             }
         )
-    )
-    data = memoryview(("\n".join(lines) + "\n").encode())
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-    try:
-        end = os.fstat(fd).st_size
-        try:
-            while data:
-                data = data[os.write(fd, data) :]
-            os.fsync(fd)
-        except OSError:
-            os.ftruncate(fd, end)
-            raise
-    finally:
-        os.close(fd)
+        append_jsonl(path, rows)
+    else:
+        meta, rows = session.checkpoint_state()
+        dump_jsonl(path, rows, tool=_TOOL, **meta)
+    log.clear()
+    session.ops_since_checkpoint = 0
+    return str(path)
 
 
 def load_checkpoint(
@@ -233,7 +222,7 @@ def replay_summary(path: str) -> dict[str, Any]:
     summary: dict[str, Any] = {
         "tenant": session.tenant,
         "scheduler": session.scheduler_name,
-        "ops": len(session.input_log),
+        "ops": session.ops,
         "emitted": session.emitted,
         "clock": session.clock,
         "closed": session.closed,

@@ -74,12 +74,13 @@ def add_serve_parser(
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=None,
-        help="ops between automatic checkpoints, 0 disables "
-        "(REPRO_SERVE_CHECKPOINT_EVERY)",
+        help="ops between automatic checkpoints and trace flushes, "
+        "0 disables (REPRO_SERVE_CHECKPOINT_EVERY)",
     )
     p.add_argument(
         "--trace-dir", default=None,
-        help="directory closed tenants write obs traces into "
+        help="directory tenants stream obs traces into, renamed from "
+        "<tenant>.trace.jsonl.part at close "
         "(reconcilable with `repro obs explain --strict`)",
     )
     p.add_argument(

@@ -55,6 +55,48 @@ class TestNullRecorderIdentity:
             )
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("case", ["e1-adversary", "seeded-instance"])
+    def test_disabled_recorder_is_never_consulted(self, case):
+        """A recorder with ``enabled = False`` is never called: one whose
+        every method raises leaves both paper paths' runs identical."""
+        from repro.adversaries import (
+            NonClairvoyantLowerBoundAdversary,
+            paper_profile,
+        )
+        from repro.workloads import WorkloadSpec, generate
+
+        class Untouchable(Recorder):
+            enabled = False
+
+            def _consulted(self, *args, **kwargs):
+                raise AssertionError("a disabled recorder was consulted")
+
+            instant = decision = span = counter_add = gauge_set = _consulted
+            histogram_observe = metrics_snapshot = merge_metrics = _consulted
+
+        def run(recorder):
+            if case == "e1-adversary":
+                adversary = NonClairvoyantLowerBoundAdversary(
+                    5.0, paper_profile(2)
+                )
+                result = simulate(
+                    Batch(), adversary=adversary, clairvoyant=False,
+                    recorder=recorder,
+                )
+            else:
+                instance = generate(WorkloadSpec(n=300), seed=7)
+                result = simulate(BatchPlus(), instance, recorder=recorder)
+            return (
+                result.span,
+                result.events_processed,
+                sorted(result.schedule.starts().items()),
+                result.recorder,
+            )
+
+        plain = run(None)
+        assert plain[1] > 0
+        assert run(Untouchable()) == plain
+
     def test_disarmed_run_exposes_no_recorder(self, simple_instance):
         result = simulate(Batch(), simple_instance, recorder=NullRecorder())
         assert result.recorder is None

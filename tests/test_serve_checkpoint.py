@@ -37,6 +37,10 @@ def job_op(tenant, job_id, arrival, deadline, length):
     }
 
 
+def job_ops(tenant="t1", upto=len(JOBS)):
+    return [job_op(tenant, jid, a, d, p) for jid, a, d, p in JOBS[:upto]]
+
+
 def run_session(tenant="t1", upto=len(JOBS), close=False, scheduler="batch+"):
     """A session with the first ``upto`` jobs applied; outputs collected."""
     session = TenantSession(tenant, scheduler=scheduler)
@@ -58,7 +62,9 @@ class TestRoundTrip:
         assert meta["scheduler"] == "batch+"
         assert meta["emitted"] == session.emitted
         assert meta["clock"] == session.clock
-        assert ops == session.input_log
+        assert meta["ops"] == session.ops == 2
+        assert ops == job_ops(upto=2)
+        assert session.input_log == []  # the journal holds them now
 
     def test_save_resets_cadence_counter(self, tmp_path):
         session, _ = run_session(upto=2)
@@ -73,7 +79,9 @@ class TestRoundTrip:
         assert restored.tenant == session.tenant
         assert restored.clock == session.clock
         assert restored.emitted == session.emitted
-        assert restored.input_log == session.input_log
+        assert restored.ops == session.ops == 3
+        # The replay logs every journaled op again, for the first save.
+        assert restored.input_log == load_checkpoint(path)[1] == job_ops(upto=3)
         assert not restored.closed
 
     def test_closed_session_restores_closed(self, tmp_path):
@@ -239,9 +247,9 @@ def journaled(directory, ops):
         outs += session.apply(op)
         if op["op"] == "close" or session.ops_since_checkpoint >= SAVE_EVERY:
             path = save_checkpoint(session, directory)
+            assert session.input_log == []  # sealed rows leave memory
             saves.append(
-                (Path(path).read_bytes(), len(session.input_log),
-                 session.emitted)
+                (Path(path).read_bytes(), session.ops, session.emitted)
             )
     return session, outs, saves
 
@@ -282,10 +290,13 @@ class TestJournal:
         path = tmp_path / f"t1{CHECKPOINT_SUFFIX}"
         path.write_bytes(after[: (len(before) + len(after)) // 2])
         restored = restore_session(path)
+        replayed = list(restored.input_log)
+        assert replayed == load_checkpoint(path)[1]
         save_checkpoint(restored, tmp_path)
         meta, rows = scan_jsonl(path)  # strict reader: no torn line
-        assert meta["ops"] == len(restored.input_log)
-        assert rows == [{"kind": "op", "data": op} for op in restored.input_log]
+        assert meta["ops"] == restored.ops == len(replayed)
+        assert rows == [{"kind": "op", "data": op} for op in replayed]
+        assert restored.input_log == []
 
     def test_failed_append_is_cut_back_off(self, tmp_path, monkeypatch):
         """A save whose fsync fails leaves the file at its last seal, and
@@ -308,10 +319,13 @@ class TestJournal:
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(session, tmp_path)
         assert path.read_bytes() == before
+        assert session.input_log == ops[4:6]  # kept for the next save
         save_checkpoint(session, tmp_path)
         meta, logged = load_checkpoint(path)
-        assert logged == session.input_log == ops[:6]
+        assert logged == ops[:6]
+        assert meta["ops"] == session.ops == 6
         assert meta["emitted"] == session.emitted
+        assert session.input_log == []
 
     def test_mark_disagreeing_with_its_rows_rejected(self, tmp_path):
         journaled(tmp_path, stream_ops())

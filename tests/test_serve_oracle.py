@@ -12,7 +12,8 @@ records:
 * the tenant's final live-telemetry snapshot;
 * for the five paper schedulers, the written trace with the wall-clock
   fields (``ts``, ``wall_s``) removed and each wall-time histogram
-  reduced to its count.
+  reduced to its count.  The trace is written once at close, and again
+  streamed: flushed after every op and after every 7 ops.
 
 Every field must be reproduced exactly (``==``): the served stream is
 the protocol, so a change that moves one byte of it shows here.
@@ -123,11 +124,15 @@ def _trace_rows(path: str) -> list[dict[str, Any]]:
     return rows
 
 
-def observe(case_id: str, *, trace: bool = True) -> dict[str, Any]:
+def observe(
+    case_id: str, *, trace: bool = True, flush_every: int = 0
+) -> dict[str, Any]:
     """Replay one case through a fresh session; JSON-normalised.
 
     ``trace=False`` replays without a trace, the daemon's default: the
-    outputs and telemetry must not depend on it.
+    outputs and telemetry must not depend on it.  ``flush_every=n``
+    flushes the trace after every ``n`` ops, as the daemon does at its
+    checkpoint cadence; 0 writes it once at close.
     """
     scheduler, params, seed = CASES[case_id]
     telemetry = TenantTelemetry(TENANT)
@@ -136,19 +141,21 @@ def observe(case_id: str, *, trace: bool = True) -> dict[str, Any]:
         trace=trace,
     )
     outputs: list[Any] = [[encode_record(r).decode() for r in session.hello()]]
-    for op in op_stream(seed):
-        try:
-            records = session.apply(op)
-        except (ProtocolError, SimulationError) as exc:
-            outputs.append({"error": f"{type(exc).__name__}: {exc}"})
-            continue
-        outputs.append([encode_record(r).decode() for r in records])
-    observed: dict[str, Any] = {
-        "ops": outputs,
-        "telemetry": telemetry.snapshot(),
-    }
-    if trace and scheduler in PAPER:
-        with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, op in enumerate(op_stream(seed), start=1):
+            try:
+                records = session.apply(op)
+            except (ProtocolError, SimulationError) as exc:
+                outputs.append({"error": f"{type(exc).__name__}: {exc}"})
+            else:
+                outputs.append([encode_record(r).decode() for r in records])
+            if flush_every and i % flush_every == 0 and op["op"] != "close":
+                session.flush_trace(tmp)
+        observed: dict[str, Any] = {
+            "ops": outputs,
+            "telemetry": telemetry.snapshot(),
+        }
+        if trace and scheduler in PAPER:
             observed["trace"] = _trace_rows(session.write_trace(tmp))
     normalised: dict[str, Any] = json.loads(json.dumps(observed))
     return normalised
@@ -188,6 +195,18 @@ def test_matches_recorded_oracle(case_id):
     assert got["ops"] == expected["ops"]
     assert got["telemetry"] == expected["telemetry"]
     assert got.get("trace") == expected.get("trace")
+
+
+@pytest.mark.parametrize("flush_every", [1, 7])
+@pytest.mark.parametrize(
+    "case_id", sorted(c for c, (name, _, _) in CASES.items() if name in PAPER)
+)
+def test_streamed_trace_matches_recorded_oracle(case_id, flush_every):
+    """A trace flushed as it goes finishes with the recorded rows."""
+    expected = _load_oracle()[case_id]
+    got = observe(case_id, flush_every=flush_every)
+    assert got["ops"] == expected["ops"]
+    assert got["trace"] == expected["trace"]
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
