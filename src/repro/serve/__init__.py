@@ -11,10 +11,13 @@ Layers
   out), size/queue knobs, tenant-name hygiene.
 * :mod:`repro.serve.session` — :class:`TenantSession`: one tenant's
   engine + output sink (protocol records and telemetry, plus a trace
-  under ``--trace-dir``) + replayable input-op log.
+  streamed to disk under ``--trace-dir``) + the input ops its
+  checkpoint journal does not hold yet.
 * :mod:`repro.serve.checkpoint` — event-sourced checkpoints over the
   versioned JSONL sink; restore by deterministic replay; pool fan-out
   verification.
+* :mod:`repro.serve.journal` — the one append writer the checkpoint
+  journal and the streamed trace share.
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`: bounded queues with
   end-to-end backpressure, graceful SIGTERM drain, periodic
   checkpoints, stdio/Unix/TCP transports.
