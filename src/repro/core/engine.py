@@ -161,6 +161,21 @@ class ClairvoyanceGuard:
         )
 
 
+class _FoldedRow:
+    """The table behind a view whose row a fold dropped: any read raises."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> Any:
+        raise SimulationError(
+            "this job view is detached: the stream folded the job's row "
+            "at an idle instant, after the job completed"
+        )
+
+
+_FOLDED_ROW: Any = _FoldedRow()
+
+
 class JobView:
     """The scheduler-facing view of a job: one :class:`JobTable` row.
 
@@ -168,6 +183,8 @@ class JobView:
     processing length only when the information model permits (always in
     clairvoyant mode, after completion otherwise).  Scalars come from the
     table's Python list mirrors, so every property returns plain floats.
+    A view of a row that :meth:`Simulator.fold` dropped is detached:
+    every read raises :class:`SimulationError`.
     """
 
     __slots__ = ("_core", "_table", "_idx")
@@ -176,6 +193,9 @@ class JobView:
         self._core = core
         self._table: "JobTable" = core._table
         self._idx = idx
+
+    def _detach(self) -> None:
+        self._table = _FOLDED_ROW
 
     @property
     def id(self) -> int:
@@ -398,6 +418,9 @@ class SimulationResult:
     job table on first access of ``schedule``/``instance`` (benchmark
     loops and served closes that only read ``span`` never pay for them;
     armed runs take the ``engine.run_end`` metrics off the columns).
+    A stream that folded (:meth:`Simulator.fold`) no longer holds the
+    rows of its past, so its ``schedule`` and ``instance`` raise
+    :class:`SimulationError`; so does a :meth:`summary`'s.
     """
 
     __slots__ = (
@@ -463,6 +486,24 @@ class SimulationResult:
         if self._span is not None:
             return self._span
         return self._ensure().span
+
+    def summary(self, reason: str) -> "SimulationResult":
+        """This result's span and event count, without the run behind it.
+
+        The summary holds no scheduler, trace, recorder or job table;
+        its ``schedule`` and ``instance`` raise :class:`SimulationError`
+        with ``reason``.
+        """
+
+        def gone() -> tuple[Schedule, Instance]:
+            raise SimulationError(reason)
+
+        return SimulationResult(
+            events_processed=self.events_processed,
+            scheduler=None,
+            materialize=gone,
+            span=self.span,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -616,6 +657,31 @@ class Simulator:
             # instrumentation wraps; the core's finish then has no work.
             self.advance(None)
         return self._core.finish_stream()
+
+    def fold(self) -> int:
+        """Drop what an idle stream holds of its completed jobs.
+
+        Call it between :meth:`feed`/:meth:`advance` steps; it returns
+        the number of jobs dropped, 0 unless the session is idle (no job
+        pending or running) and the scheduler declares ``foldable``.  In
+        the online model a start is never revised and a finished job
+        never affects a later decision, so at an idle instant the past
+        can go.  Dropped:
+
+        * the completed rows (columns, list mirrors, ``Job`` objects,
+          views, the id → row map); the kept rows are renumbered, and
+          a view of a dropped row is detached (reads raise);
+        * the scheduler's per-job history (its ``fold()``).
+
+        Kept: each dropped row's covered length (8 bytes per job, so
+        the final span is bit-identical), the dropped ids as runs of
+        consecutive ids (a duplicate is still rejected), their count
+        and, when armed, their ``engine.job_length`` observations, made
+        here.  A started job's queued deadline event still pops and
+        counts.  Nothing is emitted.  The finished result then keeps
+        ``span`` and ``events_processed`` only.  Batch runs never fold.
+        """
+        return self._core.fold()
 
 
 def simulate(

@@ -126,6 +126,7 @@ class TenantTelemetry:
         "decisions",
         "lb",
         "_span",
+        "_busy_past",
         "_lengths",
         "_open_runs",
         "_deferred",
@@ -142,6 +143,8 @@ class TenantTelemetry:
         self.decisions: dict[str, int] = {}
         self.lb = OnlineOptLowerBound()
         self._span = MutableIntervalSet()
+        #: Running sum of the span components :meth:`fold` dropped.
+        self._busy_past = 0.0
         self._lengths: dict[int, float] = {}
         self._open_runs: dict[int, float] = {}
         # Released without a known length (non-clairvoyant streams):
@@ -200,6 +203,24 @@ class TenantTelemetry:
         counts[rule] = counts.get(rule, 0) + 1
 
     # ------------------------------------------------------------ public api
+    def fold(self, now: float) -> None:
+        """Fold the past into a few numbers at an idle instant ``now``.
+
+        The serve session calls it when its engine folds: nothing is
+        pending or running and every later release arrives at or after
+        ``now``.  Span components ending before ``now`` leave the set
+        (its measure keeps counting them) and their lengths join the
+        running sum ``busy_s`` starts from, in the same left-to-right
+        order; the lower bound drops what no later arrival can change
+        (:meth:`OnlineOptLowerBound.fold`).  :meth:`snapshot` is
+        bit-identical to the unfolded one, now and after.
+        """
+        busy = self._busy_past
+        for lo, hi in self._span.drop_before(now):
+            busy += hi - lo
+        self._busy_past = busy
+        self.lb.fold(now)
+
     def observe(self, record: ObsRecord) -> None:
         """Dispatch one structured record into the aggregates."""
         kind = record.kind
@@ -234,7 +255,9 @@ class TenantTelemetry:
         """The tenant's aggregates as one JSON-serialisable dict."""
         lb = self.lb
         clock = self.clock
-        busy = self._span.intersection_length(-math.inf, clock)
+        busy = self._span.intersection_length(
+            -math.inf, clock, self._busy_past
+        )
         horizon = clock - (
             self.first_arrival if self.first_arrival is not None else clock
         )

@@ -110,6 +110,22 @@ class OnlineOptLowerBound:
         lcs[j:m] = [lc]
         vals[j:m] = [cand]
 
+    def fold(self, now: float) -> None:
+        """Drop what no job arriving at or after ``now`` can change.
+
+        Valid only if every later :meth:`add` has ``arrival >= now`` (a
+        served tenant at an idle instant).  Such an arrival chains onto
+        every front entry with latest completion ``<= now``, and the
+        heaviest of them wins, so the rest go; mandatory components
+        ending before ``now`` cannot merge with a later window.  The
+        bound and its components are unchanged, now and after.
+        """
+        self._mandatory.drop_before(now)
+        k = bisect_right(self._lcs, now) - 1
+        if k > 0:
+            del self._lcs[:k]
+            del self._vals[:k]
+
 
 def _fold(instance: Instance) -> OnlineOptLowerBound:
     """The online bound after every job of ``instance``, in arrival order."""

@@ -9,6 +9,13 @@ requirement) used by the registry, the CLI, and the benchmark harness.
 Schedulers that designate *flag jobs* (Batch, Batch+, CDB, Profit) record
 them in ``self.flag_job_ids`` in designation order; the analysis module
 consumes this to verify the paper's structural lemmas.
+
+A scheduler that holds no view or row index of a completed job whenever
+its run is idle (nothing pending or running) declares ``foldable``: a
+streaming engine may then fold at idle instants
+(:meth:`repro.core.engine.Simulator.fold`) and calls its :meth:`fold`,
+which drops the per-job analysis history.  Batch runs never fold, so the
+analysis modules always see the whole history.
 """
 
 from __future__ import annotations
@@ -33,10 +40,15 @@ class OnlineScheduler:
         ``True`` for schedulers that read ``job.length`` at arrival (CDB,
         Profit, Doubler); the simulator must then run with
         ``clairvoyant=True``.
+    foldable:
+        ``True`` when the scheduler holds no view or row index of a
+        completed job at an idle instant, so a streaming engine may drop
+        its completed rows there (see the module docstring).
     """
 
     name: ClassVar[str] = "base"
     requires_clairvoyance: ClassVar[bool] = False
+    foldable: ClassVar[bool] = False
 
     def __init__(self) -> None:
         #: Flag jobs in designation order (meaningful for batch-style
@@ -71,6 +83,11 @@ class OnlineScheduler:
         """Clear per-run state.  Subclasses must call ``super().reset()``."""
         self.flag_job_ids = []
         self.obs = NULL_RECORDER
+
+    def fold(self) -> None:
+        """Drop per-job analysis history; the engine folded at an idle
+        instant.  Subclasses with more history call ``super().fold()``."""
+        self.flag_job_ids = []
 
     # -- hooks (no-op defaults) ---------------------------------------------
     def on_arrival(self, ctx: SchedulerContext, job: JobView) -> None:

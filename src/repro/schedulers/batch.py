@@ -37,6 +37,7 @@ class Batch(OnlineScheduler):
 
     name: ClassVar[str] = "batch"
     requires_clairvoyance: ClassVar[bool] = False
+    foldable: ClassVar[bool] = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -45,6 +46,10 @@ class Batch(OnlineScheduler):
 
     def reset(self) -> None:
         super().reset()
+        self.iterations = []
+
+    def fold(self) -> None:
+        super().fold()
         self.iterations = []
 
     def on_deadline(self, ctx: SchedulerContext, job: JobView) -> None:

@@ -44,6 +44,9 @@ class BatchPlus(OnlineScheduler):
 
     name: ClassVar[str] = "batch+"
     requires_clairvoyance: ClassVar[bool] = False
+    #: At an idle instant the flag has completed (no open phase) and the
+    #: buffer is empty, so it holds no view.
+    foldable: ClassVar[bool] = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -56,6 +59,11 @@ class BatchPlus(OnlineScheduler):
         super().reset()
         self._active_flag = None
         self._pending = {}
+        self.iterations = []
+
+    def fold(self) -> None:
+        # The next open-phase arrival follows a new flag's record.
+        super().fold()
         self.iterations = []
 
     @property

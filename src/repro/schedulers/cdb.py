@@ -78,6 +78,9 @@ class ClassifyByDurationBatchPlus(OnlineScheduler):
 
     name: ClassVar[str] = "cdb"
     requires_clairvoyance: ClassVar[bool] = True
+    #: Each category's Batch+ may fold, and the category map only serves
+    #: jobs that have hooks still to come.
+    foldable: ClassVar[bool] = True
 
     def __init__(self, alpha: float = OPTIMAL_CDB_ALPHA, base: float = 1.0) -> None:
         super().__init__()
@@ -97,6 +100,12 @@ class ClassifyByDurationBatchPlus(OnlineScheduler):
         super().reset()
         self._categories = {}
         self._job_category = {}
+
+    def fold(self) -> None:
+        super().fold()
+        self._job_category = {}
+        for sub in self._categories.values():
+            sub.fold()
 
     # -- routing -------------------------------------------------------------
     def _category_of(self, job: JobView) -> BatchPlus:

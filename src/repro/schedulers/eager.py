@@ -26,6 +26,7 @@ class Eager(OnlineScheduler):
 
     name: ClassVar[str] = "eager"
     requires_clairvoyance: ClassVar[bool] = False
+    foldable: ClassVar[bool] = True
 
     def on_arrival(self, ctx: SchedulerContext, job: JobView) -> None:
         ctx.start(job.id)

@@ -32,6 +32,7 @@ class EpochBatch(OnlineScheduler):
 
     name: ClassVar[str] = "epoch-batch"
     requires_clairvoyance: ClassVar[bool] = False
+    foldable: ClassVar[bool] = True
 
     def __init__(self, period: float = 1.0) -> None:
         super().__init__()

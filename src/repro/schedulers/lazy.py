@@ -22,6 +22,7 @@ class Lazy(OnlineScheduler):
 
     name: ClassVar[str] = "lazy"
     requires_clairvoyance: ClassVar[bool] = False
+    foldable: ClassVar[bool] = True
 
     def on_deadline(self, ctx: SchedulerContext, job: JobView) -> None:
         ctx.start(job.id)

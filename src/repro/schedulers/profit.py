@@ -66,6 +66,8 @@ class Profit(OnlineScheduler):
 
     name: ClassVar[str] = "profit"
     requires_clairvoyance: ClassVar[bool] = True
+    #: At an idle instant every flag has completed and nothing pends.
+    foldable: ClassVar[bool] = True
 
     def __init__(self, k: float = OPTIMAL_PROFIT_K) -> None:
         super().__init__()
@@ -84,6 +86,10 @@ class Profit(OnlineScheduler):
         super().reset()
         self._active_flags = {}
         self._pending = {}
+        self.attribution = {}
+
+    def fold(self) -> None:
+        super().fold()
         self.attribution = {}
 
     # -- profitability tests ---------------------------------------------------

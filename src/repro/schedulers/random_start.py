@@ -22,6 +22,9 @@ class RandomStart(OnlineScheduler):
 
     name: ClassVar[str] = "random"
     requires_clairvoyance: ClassVar[bool] = False
+    #: Its timers carry job ids, never views; a timer for a folded job
+    #: finds it started (``ctx.is_started``).
+    foldable: ClassVar[bool] = True
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__()

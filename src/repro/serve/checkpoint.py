@@ -235,7 +235,7 @@ def replay_summary(path: str) -> dict[str, Any]:
             )
     if session.result is not None:
         summary["span"] = session.result.span
-        summary["jobs"] = len(session.result.instance.jobs)
+        summary["jobs"] = session.jobs
     return summary
 
 

@@ -180,3 +180,31 @@ class TestEquivalenceProperty:
         assert s.measure == u.measure
         s.add(0.0, 1.0)
         assert s.to_union() == IntervalUnion.from_pairs([*spans, (0.0, 1.0)])
+
+
+class TestFoldSupport:
+    def test_drop_before_keeps_measure_and_later_adds(self):
+        plain, folded = MutableIntervalSet(), MutableIntervalSet()
+        for lo, hi in [(0.0, 1.0), (2.0, 3.5), (4.0, 5.0)]:
+            plain.add(lo, hi)
+            folded.add(lo, hi)
+        assert folded.drop_before(5.0) == [(0.0, 1.0), (2.0, 3.5)]
+        assert list(folded.pairs()) == [(4.0, 5.0)]  # ends at 5: kept
+        assert folded.measure == plain.measure
+        for lo, hi in [(5.0, 6.0), (5.5, 7.25), (9.0, 9.5)]:
+            assert folded.add(lo, hi) == plain.add(lo, hi)
+        assert folded.measure == plain.measure
+
+    def test_intersection_length_adds_onto_a_carried_sum(self):
+        s = MutableIntervalSet()
+        s.add(1.0, 2.0)
+        s.add(3.0, 4.0)
+        assert s.intersection_length(-1e9, 3.5, 0.25) == 0.25 + 1.0 + 0.5
+        assert MutableIntervalSet().intersection_length(0.0, 1.0, 0.5) == 0.5
+
+    def test_point_membership(self):
+        s = MutableIntervalSet()
+        s.add(5, 8)
+        s.add(10, 11)
+        assert [x for x in range(13) if x in s] == [5, 6, 7, 10]
+        assert 2**63 + 1 not in s

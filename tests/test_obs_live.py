@@ -160,6 +160,66 @@ class TestOnlineOptLowerBound:
         assert lb.value <= offline + 1e-9
 
 
+class TestFold:
+    """Folding at an instant every later arrival follows keeps every value."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lower_bound_fold_keeps_every_value(self, seed):
+        rng = random.Random(3000 + seed)
+        jobs = sorted(_random_jobs(rng, 80), key=lambda j: j.arrival)
+        plain, folded = OnlineOptLowerBound(), OnlineOptLowerBound()
+        for job in jobs:
+            if rng.random() < 0.3:
+                folded.fold(job.arrival)  # every later add arrives by now
+            plain.add(job.arrival, job.deadline, job.length)
+            folded.add(job.arrival, job.deadline, job.length)
+            assert (folded.value, folded.chain, folded.mandatory,
+                    folded.max_length) == (plain.value, plain.chain,
+                                           plain.mandatory, plain.max_length)
+
+    def test_lower_bound_fold_keeps_one_entry_of_the_past(self):
+        lb = OnlineOptLowerBound()
+        for i in range(100):  # a chain: each job ends before the next
+            lb.fold(3.0 * i)
+            lb.add(3.0 * i, 3.0 * i + 0.5, 1.0)
+        assert lb.chain == 100.0
+        assert len(lb._lcs) <= 2
+
+    @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
+    def test_telemetry_fold_keeps_the_snapshot(self, name):
+        """Replay a batch run's trace; fold at every instant nothing is
+        pending or running and later releases arrive at or after it."""
+        inst = generate(
+            WorkloadSpec(n=120, arrival_rate=0.2, laxity_scale=1.0), seed=5
+        )
+        recorder = TraceRecorder()
+        Simulator(
+            make_scheduler(name), instance=inst, recorder=recorder,
+            clairvoyant=name in CLAIRVOYANT,
+        ).run()
+        # The batch run releases every job at t=0: feed each release at
+        # its arrival instead, as a stream would.
+        events = []
+        for record in recorder.records:
+            if record.name == "engine.release":
+                events.append((record.attrs["arrival"], 0, record))
+            elif record.name in ("engine.start", "engine.completion"):
+                events.append((record.attrs["t"], 1, record))
+        events.sort(key=lambda e: (e[0], e[1]))
+        plain, folded = TenantTelemetry("t"), TenantTelemetry("t")
+        folds = 0
+        for k, (t, _, record) in enumerate(events):
+            plain.observe(record)
+            folded.observe(record)
+            idle = folded.started == folded.completed == folded.released
+            if idle and k + 1 < len(events) and events[k + 1][0] > t:
+                folded.fold(t)
+                folds += 1
+            assert folded.snapshot() == plain.snapshot()
+        assert folds > 5
+        assert len(folded._span) < len(plain._span)
+
+
 def _replay(records) -> tuple[TenantTelemetry, bool]:
     """Feed a trace through one telemetry instance, checking monotonicity."""
     telemetry = TenantTelemetry("t")

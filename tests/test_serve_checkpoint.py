@@ -8,13 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import Instance, Job, simulate
+from repro.core.engine import Simulator
 from repro.obs.jsonl import dump_jsonl, scan_jsonl
 from repro.perf.parallel import ParallelRunner
+from repro.schedulers.registry import make_scheduler
 from repro.serve.checkpoint import (
     CHECKPOINT_SUFFIX,
     checkpoint_path,
     list_checkpoints,
     load_checkpoint,
+    replay_summary,
     restore_all,
     restore_session,
     save_checkpoint,
@@ -358,3 +362,41 @@ class TestJournal:
         path.write_text(head + sep + "1" + tail[tail.index(","):])
         with pytest.raises(ValueError, match="replay diverged"):
             verify_checkpoints(tmp_path, runner=ParallelRunner(workers=1))
+
+
+class TestFoldedCheckpoint:
+    def test_replay_summary_of_a_folded_stream(self, tmp_path, monkeypatch):
+        """``--verify-checkpoints`` summarises a stream that folded as it
+        would have unfolded: jobs counted, span off the folded result."""
+        jobs = [(i, 3.0 * i, 3.0 * i + 1.0, 1.0 + (i % 3)) for i in range(60)]
+        session = TenantSession("t1")
+        session.hello()
+        for jid, a, d, p in jobs:
+            session.apply(job_op("t1", jid, a, d, p))
+        session.apply({"op": "close", "tenant": "t1"})
+        path = save_checkpoint(session, tmp_path)
+        folds = []
+        real_fold = Simulator.fold
+
+        def counting(self):
+            folds.append(real_fold(self))
+            return folds[-1]
+
+        monkeypatch.setattr(Simulator, "fold", counting)
+        summary = replay_summary(path)
+        assert sum(folds) > len(jobs) // 2  # the replay folded
+        batch = simulate(
+            make_scheduler("batch+"),
+            Instance([Job(id=j, arrival=a, deadline=d, length=p)
+                      for j, a, d, p in jobs]),
+        )
+        assert summary == {
+            "tenant": "t1",
+            "scheduler": "batch+",
+            "ops": len(jobs) + 1,
+            "emitted": session.emitted,
+            "clock": session.clock,
+            "closed": True,
+            "span": batch.span,
+            "jobs": len(jobs),
+        }
