@@ -38,14 +38,17 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import json
 import os
 import signal
 import sys
+import tempfile
 import threading
+from contextlib import ExitStack
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Callable, Iterator
 
 from ..obs.jsonl import dump_jsonl
 from ..obs.live import LiveAggregator, TenantTelemetry, telemetry_enabled
@@ -65,7 +68,7 @@ from .protocol import (
 from .session import TenantSession
 from .telemetry import TelemetryServer
 
-__all__ = ["ServeDaemon"]
+__all__ = ["ServeDaemon", "write_merged_trace"]
 
 #: File name of the merged multi-tenant trace written at drain.
 MERGED_TRACE_NAME = "_daemon.trace.jsonl"
@@ -806,44 +809,18 @@ class ServeDaemon:
                 self.telemetry_server = None
 
     def _write_merged_trace(self) -> str | None:
-        """Write every session's records as one tenant-tagged trace.
-
-        Each session's recorder has its own wall-clock epoch; rows are
-        shifted onto the earliest epoch and k-way merged on the shifted
-        ``ts``, streamed from each session's trace file plus the records
-        it still holds (a failed session's unflushed tail).  Each
-        session's ``ts`` never decreases and ties keep tenant order, so
-        the merge equals a stable sort of all rows.  A tenant restored
-        closed reads the trace its first process wrote, whose ``ts``
-        count from that process's epoch: they are placed as if that
-        epoch were the restore.  Metrics registries merge additively.
-        Runs in a worker thread (file I/O, RL017).
-        """
-        traced = [
-            (state.session, state.session.recorder)
-            for _, state in sorted(self.tenants.items())
-            if state.session is not None and state.session.recorder is not None
-        ]
-        if not traced or self.trace_dir is None:
+        """The drain's merged trace (:func:`write_merged_trace`), over
+        every session in tenant order.  Runs in a worker thread (file
+        I/O, RL017)."""
+        if self.trace_dir is None:
             return None
-        base = min(recorder.epoch for _, recorder in traced)
-        metrics = MetricsRegistry()
-        for _, recorder in traced:
-            snapshot = recorder.metrics_snapshot()
-            if snapshot:
-                metrics.merge(snapshot)
-        rows = heapq.merge(
-            *(session.trace_rows(recorder.epoch - base)
-              for session, recorder in traced),
-            key=itemgetter("ts"),
-        )
-        return dump_jsonl(
-            self.trace_dir / MERGED_TRACE_NAME,
-            chain(rows, [{"kind": "metrics", "data": metrics.to_dict()}]),
-            tool="repro.obs",
-            command="serve",
-            merged=True,
-            tenants=[session.tenant for session, _ in traced],
+        return write_merged_trace(
+            [
+                state.session
+                for _, state in sorted(self.tenants.items())
+                if state.session is not None
+            ],
+            self.trace_dir,
         )
 
     async def _drain_watchdog(self) -> None:
@@ -853,6 +830,108 @@ class ServeDaemon:
             return
         for conn in list(self.connections):
             conn.abort()
+
+
+def write_merged_trace(
+    sessions: list[TenantSession], directory: Path
+) -> str | None:
+    """Write every traced session's records as one tenant-tagged trace.
+
+    Each session's recorder has its own wall-clock epoch; rows are
+    shifted onto the earliest epoch and k-way merged on the shifted
+    ``ts``, streamed from each session's trace file plus the records it
+    still holds (a failed session's unflushed tail).  Each session's
+    ``ts`` never decreases and ties keep the order of ``sessions``, so
+    the merge equals a stable sort of all rows.  A tenant restored
+    closed reads the trace its first process wrote, whose ``ts`` count
+    from that process's epoch: they are placed as if that epoch were
+    the restore.  Metrics registries merge additively.
+
+    A merge pass holds at most :func:`_merge_fan_in` files open.  More
+    traced sessions than that merge in passes: each group of that many
+    consecutive sources is merged into a scratch file under
+    ``directory``, and the scratch files are merged in turn, so the
+    rows equal a one-pass merge.  Returns ``None`` when no session
+    keeps a trace.
+    """
+    traced = [
+        (session, session.recorder)
+        for session in sessions
+        if session.recorder is not None
+    ]
+    if not traced:
+        return None
+    base = min(recorder.epoch for _, recorder in traced)
+    metrics = MetricsRegistry()
+    for _, recorder in traced:
+        snapshot = recorder.metrics_snapshot()
+        if snapshot:
+            metrics.merge(snapshot)
+    runs: list[Iterator[dict[str, Any]]] = [
+        session.trace_rows(recorder.epoch - base)
+        for session, recorder in traced
+    ]
+    fan_in = _merge_fan_in()
+    by_ts = itemgetter("ts")
+    scratch: Path | None = None
+    with ExitStack() as stack:
+        level = 0
+        while len(runs) > fan_in:
+            if scratch is None:
+                directory.mkdir(parents=True, exist_ok=True)
+                scratch = Path(stack.enter_context(
+                    tempfile.TemporaryDirectory(dir=directory, prefix=".merge-")
+                ))
+            runs = [
+                _spill(
+                    heapq.merge(*runs[i : i + fan_in], key=by_ts),
+                    scratch / f"{level}-{i // fan_in}.jsonl",
+                )
+                for i in range(0, len(runs), fan_in)
+            ]
+            level += 1
+        return dump_jsonl(
+            directory / MERGED_TRACE_NAME,
+            chain(
+                heapq.merge(*runs, key=by_ts),
+                [{"kind": "metrics", "data": metrics.to_dict()}],
+            ),
+            tool="repro.obs",
+            command="serve",
+            merged=True,
+            tenants=[session.tenant for session, _ in traced],
+        )
+
+
+def _merge_fan_in() -> int:
+    """How many trace files one merge pass may hold open: a quarter of
+    the soft open-file limit, at least 2, which leaves the rest to the
+    sockets and files the daemon already holds."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - not a POSIX platform
+        return 64
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY:
+        return sys.maxsize
+    return max(2, soft // 4)
+
+
+def _spill(
+    rows: Iterator[dict[str, Any]], path: Path
+) -> Iterator[dict[str, Any]]:
+    """Write ``rows`` to ``path`` as JSON lines; returns a lazy reader
+    of them (JSON round-trips every row exactly)."""
+    with path.open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+    return _read_rows(path)
+
+
+def _read_rows(path: Path) -> Iterator[dict[str, Any]]:
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            yield json.loads(line)
 
 
 def _persist(

@@ -417,3 +417,63 @@ def test_stdio_mode_with_regular_file_redirection(tmp_path):
     assert kinds[-1] == "serve.closed"
     assert [r["job"] for r in records if r["kind"] == "start"] == [0, 1]
     assert b"drained: 1 tenant(s)" in proc.stderr
+
+
+_FAN_IN_SCRIPT = r"""
+import itertools, json, resource, sys
+from pathlib import Path
+from repro.obs.recorder import TraceRecorder
+from repro.serve.daemon import write_merged_trace
+from repro.serve.session import TenantSession
+
+out, tenants, limit = Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+ticks = itertools.count()
+# A coarse shared clock: rows of different tenants tie on ``ts``.
+TraceRecorder._now = lambda self: float(next(ticks) // 50)
+sessions = []
+for k in range(tenants):
+    name = f"t{k:02d}"
+    session = TenantSession(name, trace=True, log_ops=False)
+    session.recorder.epoch = 0.0
+    session.hello()
+    for i in range(6):
+        session.apply({"op": "job", "tenant": name, "id": i,
+                       "arrival": float(i), "deadline": i + 1.0,
+                       "length": 1.0})
+        if i % 2:
+            session.flush_trace(out)
+    if k % 3:
+        session.apply({"op": "close", "tenant": name})
+        session.write_trace(out)
+    sessions.append(session)
+rows = [row for s in sessions for row in s.trace_rows()]
+expected = sorted(rows, key=lambda row: row["ts"])  # stable: tenant order
+assert len({row["ts"] for row in rows}) < len(rows) // 4
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+try:  # one file per tenant at once no longer fits
+    held = [open(path) for path in sorted(out.glob("t*.trace.jsonl*"))]
+except OSError:
+    pass
+else:
+    raise SystemExit("the open-file limit did not bite")
+path = write_merged_trace(sessions, out)
+got = [json.loads(line) for line in Path(path).read_text().splitlines()]
+assert got[0]["kind"] == "meta" and got[0]["tenants"] == [s.tenant for s in sessions]
+assert got[-1]["kind"] == "metrics"
+assert got[1:-1] == expected, "merge differs from a one-pass stable merge"
+assert not [p for p in out.iterdir() if p.name.startswith(".merge")]
+print("merged", len(got) - 2)
+"""
+
+
+def test_merged_trace_fits_a_low_open_file_limit(tmp_path):
+    """More traced tenants than the soft open-file limit allows at once
+    still merge, in passes, into exactly the one-pass rows (ties in
+    tenant order)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAN_IN_SCRIPT, str(tmp_path), "40", "16"],
+        cwd=REPO, env=_env(), capture_output=True, text=True, timeout=TIMEOUT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("merged ")
