@@ -5,7 +5,9 @@ These are the library's core safety net:
 * every scheduler produces a *feasible* schedule on arbitrary instances;
 * every scheduler's span is at least the certified lower bound;
 * the theorem bounds (μ+1 for Batch+, 2μ+1 for Batch, the parametric CDB
-  and Profit bounds) hold against the exact optimum on small instances.
+  and Profit bounds) hold against the exact optimum on small instances;
+* a μ = 1 stratum (every job the same length, the setting Liu, Khuller
+  and Tang study) where Batch+ stays within 2·OPT.
 """
 
 from __future__ import annotations
@@ -59,6 +61,19 @@ def instances(draw, max_jobs=12, integral=False, max_t=12):
             p = draw(st.floats(min_value=0.1, max_value=5, allow_nan=False))
         jobs.append(Job(id=i, arrival=float(a), deadline=float(a + lax), length=float(p)))
     return Instance(jobs, name="hyp")
+
+
+@st.composite
+def uniform_length_instances(draw, max_jobs=7, max_t=8):
+    """Random instances whose jobs all share one integral length (μ = 1)."""
+    n = draw(st.integers(min_value=1, max_value=max_jobs))
+    p = float(draw(st.integers(min_value=1, max_value=4)))
+    jobs = []
+    for i in range(n):
+        a = draw(st.integers(min_value=0, max_value=max_t))
+        lax = draw(st.integers(min_value=0, max_value=6))
+        jobs.append(Job(id=i, arrival=float(a), deadline=float(a + lax), length=p))
+    return Instance(jobs, name="hyp-uniform")
 
 
 class TestFeasibility:
@@ -130,6 +145,15 @@ class TestTheoremBounds:
         opt = exact_optimal_span(inst)
         result = simulate(Profit(k=k), inst, clairvoyant=True)
         assert result.span <= profit_ratio(k) * opt + 1e-6
+
+    @given(uniform_length_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_batchplus_within_twice_opt_at_mu_one(self, inst):
+        """Equal lengths make μ = 1, so Theorem 3.5 gives 2·OPT."""
+        assert inst.mu == 1.0
+        opt = exact_optimal_span(inst)
+        result = simulate(BatchPlus(), inst)
+        assert result.span <= 2.0 * opt + 1e-9
 
     @given(instances(max_jobs=8, integral=True))
     @settings(max_examples=25, deadline=None)
