@@ -23,7 +23,8 @@ micro/event_queue
     isolates the heap from scheduler logic.
 micro/eager_uniform · micro/batch_uniform
     The simulator on a seeded synthetic workload under a trivial and a
-    batching scheduler — the common-path per-event cost.
+    batching scheduler — the common-path per-event cost (40 000 jobs,
+    at least ~0.3 s per repeat; 1 000 under ``--quick``).
 micro/coverage_disjoint/{doubler,greedy-cover,wait-scale}
     Each coverage scheduler over N pairwise-disjoint jobs (N = 32 000;
     1 000 under ``--quick``): every arrival asks how much of its run
@@ -300,8 +301,8 @@ def bench_cases(quick: bool) -> list[tuple[str, Callable[[], int]]]:
         ]
     return [
         ("micro/event_queue", lambda: _bench_event_queue(200_000)),
-        ("micro/eager_uniform", lambda: _bench_simulate("eager", 5_000, 7)),
-        ("micro/batch_uniform", lambda: _bench_simulate("batch", 5_000, 7)),
+        ("micro/eager_uniform", lambda: _bench_simulate("eager", 40_000, 7)),
+        ("micro/batch_uniform", lambda: _bench_simulate("batch", 40_000, 7)),
         *_coverage_cases(32_000),
         ("macro/e1_paper_k2_batch", lambda: _bench_e1_macro(2)),
         (
