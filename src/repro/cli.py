@@ -466,7 +466,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve.cli import cmd_serve
 
-    # The serve package is print-free (lint RL011); the CLI injects the
+    # The serve package is print-free; the CLI injects the
     # human-output channels.  In stdio mode stdout carries the JSONL
     # protocol, so human-facing lines go to stderr.
     return cmd_serve(

@@ -48,7 +48,7 @@ read lengths it claims not to need.  Under ``strict=True`` — or
 :class:`ClairvoyanceGuard` that records every pre-completion
 ``JobView.length`` read by such a scheduler and raises
 :class:`ClairvoyanceError` on the spot.  This is the runtime oracle that
-cross-validates the static RL001 rule in :mod:`repro.lint`: both must
+cross-validates the static RL007 rule in :mod:`repro.lint`: both must
 agree on any scheduler, and the lint test suite checks them against each
 other on shared fixtures.
 
@@ -130,7 +130,7 @@ class ClairvoyanceGuard:
     declaring ``requires_clairvoyance = False``.
     Any ``JobView.length`` read before the job completes is recorded in
     :attr:`accesses` as ``(job_id, time)`` and then rejected with
-    :class:`ClairvoyanceError` — the dynamic twin of the static RL001
+    :class:`ClairvoyanceError` — the dynamic twin of the static RL007
     rule in :mod:`repro.lint`.
     """
 

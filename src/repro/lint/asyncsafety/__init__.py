@@ -1,6 +1,6 @@
 """Async-safety certifier for the serving layer (RL017–RL021).
 
-Built on the PR 3 interprocedural fixpoint engine: the per-file phase
+Built on the interprocedural dataflow layer: the per-file phase
 extracts async facts (``is_async``, awaited/finally call contexts,
 ``create_task`` spawn handling, ``Simulator``/``ParallelRunner``
 receiver typing) into :class:`~repro.lint.dataflow.FileSummary`; the
@@ -13,7 +13,7 @@ RL017     blocking-call-in-coroutine — sync blocking work reachable
           from a loop-reachable coroutine's sync call closure.
 RL018     orphaned-task — a discarded ``create_task`` handle.
 RL019     unbounded-channel — ``asyncio.Queue()``/``StreamReader()``
-          without an explicit bound inside ``repro/serve``.
+          without an explicit bound inside ``repro.serve``.
 RL020     unshielded-cleanup-await — a ``finally`` await with neither
           ``asyncio.shield`` nor a CancelledError hard-stop handler.
 RL021     queue-join-protocol — ``Queue.join()`` without balanced

@@ -3,8 +3,8 @@
 The serving layer is a single-threaded event loop: one blocking call in
 any coroutine the loop runs stalls *every* tenant at once.  Proving the
 loop non-blocking statically needs two whole-program facts, both built
-here from :class:`~repro.lint.dataflow.FileSummary` data only (so the
-parallel/incremental runner stays bit-identical to serial):
+here from :class:`~repro.lint.dataflow.FileSummary` data only (so a
+cached run gives the same verdicts as a fresh one):
 
 * **which** ``async def``s actually run on the event loop — the
   *coroutine-reachability graph*.  Roots are public coroutines (the API

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..base import ProgramRule, register
 from ..findings import LintFinding
-from ..scopes import SERVE_FRAGMENT
 from .model import AsyncModel, external_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,8 +45,8 @@ _READER_CTORS = frozenset({"asyncio.StreamReader", "asyncio.streams.StreamReader
 
 
 def _serve_scoped(fs: "FileSummary") -> bool:
-    """Inside ``repro/serve/`` or opted in via ``_SERVE_SCOPE = True``."""
-    if SERVE_FRAGMENT in fs.path.replace("\\", "/"):
+    """Inside ``repro.serve`` or opted in via ``_SERVE_SCOPE = True``."""
+    if fs.module == "repro.serve" or fs.module.startswith("repro.serve."):
         return True
     const = fs.constants.get("_SERVE_SCOPE")
     return bool(const is not None and const.get("v"))
@@ -106,9 +105,6 @@ class BlockingCallInCoroutineRule(ProgramRule):
             if hit is None:
                 continue
             chain, path, line, col = hit
-            fs, _cls = program.fn_context[fqid]
-            if fs.is_suppressed(line, self.code):
-                continue
             yield self.program_finding(
                 path,
                 line,
@@ -165,8 +161,6 @@ class OrphanedTaskRule(ProgramRule):
             for callee, spawned, handled, line, col in fn.spawns:
                 if handled or not AsyncModel.is_asyncio_spawn(fs, callee):
                     continue
-                if fs.is_suppressed(line, self.code):
-                    continue
                 what = f"{spawned}()" if spawned else "the spawned coroutine"
                 yield self.program_finding(
                     fs.path,
@@ -191,7 +185,7 @@ class UnboundedChannelRule(ProgramRule):
     ``asyncio.Queue()`` (infinite) or ``StreamReader()`` (default
     limit, decoupled from ``--max-line``) silently breaks the chain —
     memory grows until the OOM killer, not the backpressure, ends the
-    connection.  Inside ``repro/serve/`` (or any module declaring
+    connection.  Inside ``repro.serve`` (or any module declaring
     ``_SERVE_SCOPE = True``), channel constructors must pass an
     explicit bound.
 
@@ -236,7 +230,7 @@ class UnboundedChannelRule(ProgramRule):
                     kind = "stream reader"
                 else:
                     continue
-                if bounded or fs.is_suppressed(call.lineno, self.code):
+                if bounded:
                     continue
                 yield self.program_finding(
                     fs.path,
@@ -310,7 +304,7 @@ class UnshieldedCleanupAwaitRule(ProgramRule):
     def check_program(self, program: "Program") -> Iterator[LintFinding]:
         for fqid, fn, fs, _cls in program.all_functions():
             for desc, shielded, guarded, line, col in fn.finally_awaits:
-                if shielded or guarded or fs.is_suppressed(line, self.code):
+                if shielded or guarded:
                     continue
                 yield self.program_finding(
                     fs.path,
@@ -415,16 +409,15 @@ class QueueJoinProtocolRule(ProgramRule):
             return
         if not ops["task_done"]:
             for fqid, fs, line, col, _fin in ops["join"]:
-                if not fs.is_suppressed(line, self.code):
-                    yield self.program_finding(
-                        fs.path,
-                        line,
-                        col,
-                        f"await {recv}.join() in {fqid} but no "
-                        f"{recv}.task_done() exists anywhere — the join "
-                        "can never complete",
-                        symbol=fqid,
-                    )
+                yield self.program_finding(
+                    fs.path,
+                    line,
+                    col,
+                    f"await {recv}.join() in {fqid} but no "
+                    f"{recv}.task_done() exists anywhere — the join "
+                    "can never complete",
+                    symbol=fqid,
+                )
             return
         # Per-consumer balance: every getter must task_done, with at
         # least one call on a finally path.
@@ -434,36 +427,34 @@ class QueueJoinProtocolRule(ProgramRule):
         for fqid, fs, line, col, _fin in ops["get"]:
             dones = done_by_fn.get(fqid)
             if dones is None:
-                if not fs.is_suppressed(line, self.code):
-                    yield self.program_finding(
-                        fs.path,
-                        line,
-                        col,
-                        f"consumer {fqid} awaits {recv}.get() but never "
-                        f"calls {recv}.task_done() — items it takes keep "
-                        "the join counter high forever",
-                        symbol=fqid,
-                    )
+                yield self.program_finding(
+                    fs.path,
+                    line,
+                    col,
+                    f"consumer {fqid} awaits {recv}.get() but never "
+                    f"calls {recv}.task_done() — items it takes keep "
+                    "the join counter high forever",
+                    symbol=fqid,
+                )
             elif not any(site[4] for site in dones):
                 _dfq, dfs, dline, dcol, _dfin = dones[0]
-                if not dfs.is_suppressed(dline, self.code):
-                    yield self.program_finding(
-                        dfs.path,
-                        dline,
-                        dcol,
-                        f"{recv}.task_done() in {fqid} is not on every "
-                        "consumer path (an exception between get() and "
-                        "task_done() skips it) — move it into a finally "
-                        "block",
-                        symbol=fqid,
-                    )
+                yield self.program_finding(
+                    dfs.path,
+                    dline,
+                    dcol,
+                    f"{recv}.task_done() in {fqid} is not on every "
+                    "consumer path (an exception between get() and "
+                    "task_done() skips it) — move it into a finally "
+                    "block",
+                    symbol=fqid,
+                )
         # Shutdown ordering: pill after join, within one function.
         joins_by_fn: dict[str, list[Any]] = {}
         for site in ops["join"]:
             joins_by_fn.setdefault(site[0], []).append(site)
         for fqid, fs, line, col, _fin in ops["pill"]:
             for _jfq, _jfs, jline, _jcol, _jfin in joins_by_fn.get(fqid, []):
-                if line < jline and not fs.is_suppressed(line, self.code):
+                if line < jline:
                     yield self.program_finding(
                         fs.path,
                         line,

@@ -13,7 +13,7 @@ A finding is dropped when its source line carries either of::
     ...  # lint: ignore[RL003]
     ...  # noqa: RL003
 
-Multiple codes may be comma-separated (``# lint: ignore[RL002,RL003]``);
+Multiple codes may be comma-separated (``# lint: ignore[RL003,RL012]``);
 a bare ``# lint: ignore`` or ``# noqa`` (no codes) suppresses every rule
 on that line.
 """
@@ -42,10 +42,18 @@ _SUPPRESS_RE = re.compile(
 
 
 class FileContext:
-    """Everything a rule may inspect about one source file."""
+    """Everything a rule may inspect about one source file.
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    ``path`` is the path findings report; ``scope`` is the path from the
+    package root (``repro/offline/heuristics.py``), which path-scoped
+    rules match whatever directory or file the run was pointed at.
+    """
+
+    def __init__(
+        self, path: str, source: str, tree: ast.Module, scope: str | None = None
+    ) -> None:
         self.path = path
+        self.scope = path if scope is None else scope
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
@@ -55,11 +63,6 @@ class FileContext:
     def is_suppressed(self, line: int, code: str) -> bool:
         codes = self.suppressions.get(line)
         return codes is not None and ("*" in codes or code in codes)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
 def _parse_suppressions(lines: list[str]) -> dict[int, set[str]]:
@@ -82,8 +85,9 @@ class Rule:
     """Base class for one static-analysis rule.
 
     Subclasses set the class attributes and implement :meth:`check`.
-    ``applies_to`` narrows the rule to relevant files (e.g. RL003 only
-    inspects theorem-certification modules); the default scans all files.
+    ``applies_to`` narrows the rule to relevant files by their
+    package-rooted path (e.g. RL003 only inspects theorem-certification
+    modules); the default scans all files.
     """
 
     code: str = "RL000"
@@ -117,21 +121,20 @@ class Rule:
 
 
 class ProgramRule(Rule):
-    """Base class for a *whole-program* rule (RL007+).
+    """Base class for a *whole-program* rule (RL007, RL017–RL021).
 
     Unlike :class:`Rule`, which sees one file at a time, a program rule
     receives the assembled :class:`~repro.lint.dataflow.Program` — the
     cross-module symbol table, call graph, and fixpoint analyses — and
     may report findings in any scanned file.  Program rules are executed
-    by the runner after the per-file phase; they are intentionally inert
-    under :func:`~repro.lint.runner.lint_source` (a single in-memory
-    string has no whole-program context) unless the rule opts in via
-    :meth:`check`.
+    by the runner after the per-file phase; they are inert under
+    :func:`~repro.lint.runner.lint_source` (a single in-memory string
+    has no whole-program context).
 
-    Findings reuse the ordinary fingerprint/baseline/suppression
-    machinery: ``# lint: ignore[RL007]`` on the offending line works
-    because :class:`~repro.lint.dataflow.FileSummary` carries the
-    file's suppression table.
+    The runner drops a finding whose line carries a suppression
+    (``# lint: ignore[RL007]``): each
+    :class:`~repro.lint.dataflow.FileSummary` carries its file's
+    suppression table.
     """
 
     def check(self, ctx: FileContext) -> Iterator[LintFinding]:
@@ -196,7 +199,7 @@ def run_rules(
     """Run every applicable rule over one file, honouring suppressions."""
     out: list[LintFinding] = []
     for rule in rules:
-        if not rule.applies_to(ctx.path):
+        if not rule.applies_to(ctx.scope):
             continue
         for finding in rule.check(ctx):
             if ctx.is_suppressed(finding.line, finding.rule):

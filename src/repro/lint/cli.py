@@ -1,9 +1,7 @@
 """``python -m repro lint`` — the CLI face of the analyzer.
 
 Exit codes: 0 clean, 1 findings, 2 usage error.  ``--format json``
-emits the machine-readable report (consumed by CI annotations and the
-lint tests); ``--update-baseline`` rewrites the baseline from current
-findings (the ratchet).
+emits the machine-readable report (consumed by the lint tests).
 """
 
 from __future__ import annotations
@@ -14,37 +12,26 @@ import sys
 from pathlib import Path
 
 from .base import ALL_RULES, rule_by_code
-from .baseline import Baseline, load_baseline, write_baseline
 from .dataflow.cache import AnalysisCache, default_cache_path
-from .runner import default_target, lint_paths
+from .runner import lint_paths
 
 __all__ = ["add_lint_parser", "cmd_lint"]
-
-#: Default baseline filename, looked up in the current directory.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def add_lint_parser(sub: argparse._SubParsersAction) -> None:  # type: ignore[type-arg]
     p = sub.add_parser(
         "lint",
-        help="run the domain-aware static analyzer (RL001-RL016)",
+        help="run the domain-aware static analyzer (see --list-rules)",
         description=(
-            "AST-based static analysis of reproduction invariants: "
-            "clairvoyance contract (RL001), determinism (RL002), "
-            "float hygiene (RL003), job immutability (RL004), "
-            "reset contract (RL005), plus the "
-            "whole-program dataflow rules: cross-module clairvoyance "
-            "taint (RL007), pool-unsafe work (RL008), parameter domains "
-            "(RL009), heap key types (RL010); hot-path output "
-            "discipline (RL011: no print/logging in engine or scheduler "
-            "code — use the repro.obs recorder); hot-path allocation "
-            "discipline (RL012: no per-job object construction or "
-            "attribute-gather loops in the engine cores' hot sections); "
-            "and the invariant certifier: job-lifecycle typestate "
-            "(RL014), decision-"
-            "vocabulary exhaustiveness (RL015, cross-validated by "
-            "'repro obs explain --strict'), and time monotonicity "
-            "(RL016)."
+            "AST-based static analysis of the properties no test or "
+            "runtime check covers on every path: the non-clairvoyant "
+            "contract through the whole-program call graph (RL007), "
+            "float hygiene in theorem-certification code (RL003), "
+            "per-job allocation in the engine's hot sections (RL012), "
+            "and the serving event loop's async safety: blocking calls "
+            "(RL017), orphaned tasks (RL018), unbounded channels "
+            "(RL019), unshielded cleanup awaits (RL020) and the "
+            "Queue.join() drain protocol (RL021)."
         ),
     )
     p.add_argument(
@@ -54,35 +41,15 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:  # type: ignore[ty
     )
     p.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
-        help="output format (default: text; 'sarif' emits SARIF 2.1.0 "
-        "for code-scanning UIs)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: ./{DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
+        help="output format (default: text)",
     )
     p.add_argument(
         "--select",
         metavar="CODES",
         default=None,
-        help="comma-separated rule codes to run (e.g. RL001,RL003)",
+        help="comma-separated rule codes to run (e.g. RL003,RL007)",
     )
     p.add_argument(
         "--list-rules",
@@ -95,13 +62,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:  # type: ignore[ty
         default=None,
         help="print a rule's rationale and a minimal offending snippet, "
         "then exit (e.g. --explain RL007)",
-    )
-    p.add_argument(
-        "--jobs",
-        metavar="N",
-        default=None,
-        help="worker processes for the per-file phase "
-        "('auto' = all cores; default: serial)",
     )
     p.add_argument(
         "--cache-dir",
@@ -148,31 +108,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
 
-    baseline_path: Path | None = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        elif Path(DEFAULT_BASELINE).exists():
-            baseline_path = Path(DEFAULT_BASELINE)
-
-    baseline: Baseline | None = None
-    if baseline_path is not None and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    jobs: int | None = None
-    if args.jobs is not None:
-        from repro.perf.parallel import resolve_workers
-
-        try:
-            jobs = resolve_workers(args.jobs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     cache: AnalysisCache | None = None
     if not args.no_cache:
         cache_path = (
@@ -182,27 +117,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
         cache = AnalysisCache(cache_path)
 
-    paths = args.paths if args.paths else [default_target()]
-
-    report = lint_paths(
-        paths, rules=rules, baseline=baseline, jobs=jobs, cache=cache
-    )
-
-    if args.update_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        write_baseline(Baseline.from_findings(report.findings), target)
-        print(
-            f"wrote {len(report.findings)} finding(s) to baseline {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.format == "json":
-        print(report.render_json())
-    elif args.format == "sarif":
-        from .sarif import render_sarif
-
-        print(render_sarif(report, rules=rules))
-    else:
-        print(report.render())
+    report = lint_paths(args.paths, rules=rules, cache=cache)
+    print(report.render_json() if args.format == "json" else report.render())
     return 0 if report.clean else 1

@@ -1,34 +1,24 @@
 """Whole-program dataflow analysis for :mod:`repro.lint`.
 
-PR 2's rules are *per-file*: RL001 tracks ``job.length`` reads through a
-scheduler class's own call graph, but a helper function in another
-module that returns ``job.length`` launders the leak invisibly.  This
-package closes that gap with an interprocedural, cross-module layer:
+A clairvoyance leak can hide in a helper in another module, and a
+blocking call in a sync helper a coroutine calls; neither is visible
+one file at a time.  This package assembles the cross-module view:
 
 * :mod:`~repro.lint.dataflow.summary` — per-file fact extraction into a
-  picklable, JSON-serialisable :class:`FileSummary` (symbols, imports,
-  class hierarchy, call sites, taint/effect/constant facts).  Summaries
-  are the *only* interface between files and the whole-program pass,
-  which makes both the parallel front-end (``lint --jobs N``) and the
-  incremental cache (:mod:`~repro.lint.dataflow.cache`) sound by
-  construction.
+  JSON-serialisable :class:`FileSummary` (imports, class hierarchy,
+  call sites, clairvoyance reads, async facts).  Summaries are the
+  *only* interface between files and the whole-program pass, which
+  makes the incremental cache (:mod:`~repro.lint.dataflow.cache`) sound
+  by construction.
 * :mod:`~repro.lint.dataflow.program` — the whole-program symbol table
   and call graph over all summaries: module-qualified function index,
   import-alias resolution, method resolution (MRO) over the
-  ``OnlineScheduler``/``Adversary`` hierarchies, and three fixpoint
-  analyses (clairvoyance taint, purity/effects, constant resolution).
-* :mod:`~repro.lint.dataflow.rules_program` — the rules built on top:
-
-  ========  =========================================================
-  RL007     cross-module-clairvoyance-taint (whole-program RL001)
-  RL008     pool-unsafe-work submitted to ``ParallelRunner``
-  RL009     parameter-domain-violation (``CDB(alpha<=1)``, …)
-  RL010     heap-key-type-mix (un-orderable raw-tuple heap keys)
-  ========  =========================================================
+  ``OnlineScheduler`` hierarchy, and the clairvoyance-taint fixpoint.
+* :mod:`~repro.lint.dataflow.rules_program` — RL007, the non-clairvoyant
+  contract over that call graph.
 
 Program rules subclass :class:`repro.lint.base.ProgramRule` and receive
-the assembled :class:`Program`; findings reuse the existing
-fingerprint/baseline/suppression machinery unchanged.
+the assembled :class:`Program`.
 """
 
 from __future__ import annotations
@@ -37,7 +27,7 @@ from .cache import AnalysisCache, default_cache_path
 from .program import Program
 from .summary import FileSummary, extract_summary, module_name_for
 
-# Importing the rule module registers RL007-RL010 with the registry.
+# Importing the rule module registers RL007 with the registry.
 from . import rules_program  # noqa: F401  (registration side effect)
 
 __all__ = [

@@ -11,9 +11,9 @@ per scanned file, a content-hash-keyed record of
 
 A second run over an unchanged tree therefore re-analyzes **zero**
 files while still producing byte-identical reports — including the
-whole-program RL007–RL010 findings, which are recomputed from cached
-summaries every run (they are inherently cross-file, so per-file keying
-cannot memoise them soundly, but they cost milliseconds).
+whole-program findings, which are recomputed from cached summaries
+every run (they are inherently cross-file, so per-file keying cannot
+memoise them soundly, but they cost milliseconds).
 
 The key is ``sha256(salt · ruleset digest · file bytes)``: the salt
 embeds the cache schema version, so any format change invalidates
@@ -45,7 +45,7 @@ __all__ = ["AnalysisCache", "default_cache_path", "file_key", "ruleset_digest"]
 #: Bump when the summary schema, finding replay format, or lint scope
 #: constants change (scope fragments feed rule applicability, which a
 #: stale cache would otherwise keep serving from the old scope).
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 #: Directory name used by the CLI default (gitignored).
 CACHE_DIR_NAME = ".repro_lint_cache"
@@ -99,16 +99,12 @@ class AnalysisCache:
     """Disk-backed map ``relative path -> {key, findings, …}``.
 
     The cache never invalidates the report: on a key mismatch the file
-    is simply re-analyzed and the record replaced.  ``hits``/``misses``
-    feed the ``files_reanalyzed`` statistic asserted by the incremental
-    tests.
+    is simply re-analyzed and the record replaced.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.entries: dict[str, dict[str, Any]] = {}
-        self.hits = 0
-        self.misses = 0
         self._dirty = False
         self._load()
 
@@ -153,9 +149,7 @@ class AnalysisCache:
         """The cached record for ``rel_path`` iff its key matches."""
         entry = self.entries.get(rel_path)
         if entry is not None and entry.get("key") == key:
-            self.hits += 1
             return entry
-        self.misses += 1
         return None
 
     def put(

@@ -15,15 +15,11 @@ scanned file.  It provides:
 * a **clairvoyance-taint fixpoint** — for every function, which
   parameters' lengths it (transitively) reads, whether merely *calling*
   it performs a pre-completion length read, and whether its return value
-  carries clairvoyant data (RL007);
-* a **purity fixpoint** — the transitive effect closure (global writes,
-  unseeded RNG, wall clocks) of every function (RL008);
-* **constant resolution** — cross-module lookup of foldable module
-  constants for the parameter-domain checks (RL009).
+  carries clairvoyant data (RL007).
 
 Everything operates on summaries only: no source re-reads, no ASTs —
-which is what lets the runner cache and parallelise the per-file stage
-without affecting whole-program verdicts.
+which is what lets the runner cache the per-file stage without
+affecting whole-program verdicts.
 """
 
 from __future__ import annotations
@@ -93,7 +89,6 @@ class Program:
         self._leaks_params: dict[str, dict[str, Witness]] | None = None
         self._leaks_always: dict[str, Witness] | None = None
         self._returns_taint: dict[str, Witness] | None = None
-        self._effects: dict[str, dict[str, Witness]] | None = None
 
     # ------------------------------------------------------------------ names
     def canonical(self, fq: str, _depth: int = 0) -> str | None:
@@ -147,47 +142,6 @@ class Program:
             fq = fs.imports[head] + ("." + ".".join(rest) if rest else "")
             return self.canonical(fq, _depth)
         return self.canonical(f"{module}.{dotted}", _depth)
-
-    def resolve_const(self, module: str, dotted: str, _depth: int = 0) -> Any | None:
-        """Resolve a constant reference to its folded value (cross-module)."""
-        if _depth > _MAX_REF_DEPTH:
-            return None
-        fs = self.modules.get(module)
-        if fs is None:
-            return None
-        parts = dotted.split(".")
-        head = parts[0]
-        if len(parts) == 1:
-            const = fs.constants.get(head)
-            if const is not None:
-                if const["k"] == "ref":
-                    return self.resolve_const(module, const["v"], _depth + 1)
-                return const["v"]
-            fq = fs.imports.get(head)
-            if fq is not None:
-                return self._const_by_fq(fq, _depth + 1)
-            return None
-        # Class attribute constant (Cls.ATTR) or imported module member.
-        if head in fs.classes:
-            cls = fs.classes[head]
-            if len(parts) == 2 and parts[1] in cls.class_attrs:
-                return cls.class_attrs[parts[1]]
-            return None
-        if head in fs.imports:
-            fq = fs.imports[head] + "." + ".".join(parts[1:])
-            return self._const_by_fq(fq, _depth + 1)
-        return None
-
-    def _const_by_fq(self, fq: str, _depth: int) -> Any | None:
-        parts = fq.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            mod = ".".join(parts[:cut])
-            if mod in self.modules:
-                rest = ".".join(parts[cut:])
-                if rest:
-                    return self.resolve_const(mod, rest, _depth)
-                return None
-        return None
 
     # ------------------------------------------------------------------- MRO
     def mro(self, class_fq: str) -> list[str]:
@@ -528,48 +482,3 @@ class Program:
                         jnext.add(tparam)
                 work.append((target_name, jnext))
         return reach
-
-    # ----------------------------------------------------------------- purity
-    @property
-    def effects(self) -> dict[str, dict[str, Witness]]:
-        """fn id -> {effect kind: witness}, transitively closed."""
-        if self._effects is None:
-            self._effects_fixpoint()
-        assert self._effects is not None
-        return self._effects
-
-    def _effects_fixpoint(self) -> None:
-        effects: dict[str, dict[str, Witness]] = {}
-        for fqid, fn, fs, _cls in self.all_functions():
-            for kind, detail, line in fn.effects:
-                effects.setdefault(fqid, {}).setdefault(
-                    kind, Witness(fs.path, line, detail)
-                )
-        changed = True
-        while changed:
-            changed = False
-            for fqid, fn, fs, cls_name in self.all_functions():
-                mine = effects.setdefault(fqid, {})
-                for call in fn.calls:
-                    resolved = self.resolve_call(call, fs.module, cls_name)
-                    if resolved is None:
-                        continue
-                    theirs = effects.get(self._symbol_key(resolved))
-                    if not theirs:
-                        continue
-                    for kind, w in theirs.items():
-                        if kind not in mine:
-                            mine[kind] = Witness(
-                                w.path, w.line, f"{w.note} (via {call.callee}())"
-                            )
-                            changed = True
-        self._effects = {k: v for k, v in effects.items() if v}
-
-    # ------------------------------------------------------------- registries
-    def scheduler_by_registry_name(self, name: str) -> str | None:
-        """Map a registry string (``"cdb"``) to its scheduler class id."""
-        for cls_fq in self.scheduler_classes():
-            cls = self.classes[cls_fq]
-            if cls.class_attrs.get("name") == name:
-                return cls_fq
-        return None

@@ -1,36 +1,20 @@
-"""Whole-program rules RL007–RL010.
+"""RL007 — the non-clairvoyant contract over the whole-program call graph.
 
-Each rule receives the assembled :class:`~repro.lint.dataflow.Program`
-and reports findings through the ordinary
-fingerprint/baseline/suppression machinery.  Rule docstrings double as
-the ``python -m repro lint --explain RLxxx`` payload, so every rule
-documents its rationale and a minimal offending/clean snippet pair.
+The rule receives the assembled :class:`~repro.lint.dataflow.Program`;
+its docstring doubles as the ``python -m repro lint --explain RL007``
+payload (rationale plus a minimal offending/clean snippet pair).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 from ..base import ProgramRule, register
 from ..findings import LintFinding
-from .program import Program, Witness
+from .program import Program
 from .summary import FileSummary, FunctionSummary
 
-__all__ = [
-    "CrossModuleClairvoyanceTaint",
-    "HeapKeyTypeMix",
-    "ParameterDomainViolation",
-    "PoolUnsafeWork",
-]
-
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+__all__ = ["CrossModuleClairvoyanceTaint"]
 
 
 def _leaf(fq: str) -> str:
@@ -39,18 +23,21 @@ def _leaf(fq: str) -> str:
 
 @register
 class CrossModuleClairvoyanceTaint(ProgramRule):
-    """RL007 — the whole-program upgrade of RL001.
+    """RL007 — a non-clairvoyant scheduler reads ``p(J)`` before ``J`` completes.
 
     Why
     ---
     The paper's non-clairvoyant model (§3, Theorems 3.3–3.5) forbids a
     scheduler with ``requires_clairvoyance = False`` from observing
-    ``job.length`` before the job completes.  RL001 proves this per
-    file, but a helper in *another module* that reads or returns the
-    length launders the leak invisibly.  RL007 tracks clairvoyant taint
-    through the cross-module call graph: function returns, job-valued
-    arguments, ``self`` attributes holding jobs, and registry-resolved
-    methods.
+    ``job.length`` before the job completes.  RL007 follows every
+    method reachable before ``on_completion`` (over the class
+    hierarchy) and tracks clairvoyant taint through the cross-module
+    call graph: direct reads, function returns, job-valued arguments,
+    ``self`` attributes holding jobs, and registry-resolved methods — so
+    a helper in *another module* cannot launder the leak.  The runtime
+    ``ClairvoyanceGuard`` (``REPRO_STRICT=1``) sees only executed paths,
+    and a clairvoyant run's ``JobView.length`` does not raise; this rule
+    covers every path.
 
     Offending
     ---------
@@ -215,366 +202,3 @@ class CrossModuleClairvoyanceTaint(ProgramRule):
                         f"job to {call.callee}(), which {wp.render()}",
                         symbol,
                     )
-
-
-@register
-class PoolUnsafeWork(ProgramRule):
-    """RL008 — impure or unpicklable work submitted to ``ParallelRunner``.
-
-    Why
-    ---
-    ``repro.perf.parallel.ParallelRunner`` guarantees bit-identical
-    serial/parallel results only when the submitted callable is pure and
-    picklable: a closure over mutable state, a lambda, or a function
-    whose transitive call graph writes module globals, draws from an
-    unseeded RNG, or reads a wall clock silently diverges across worker
-    processes (or silently degrades to serial on the pickling
-    pre-flight).  RL008 closes the purity of every submitted callable
-    over the whole-program call graph.
-
-    Offending
-    ---------
-    ::
-
-        _CACHE = {}
-
-        def run_cell(cell):
-            _CACHE[cell.key] = simulate(cell)   # global write
-            return _CACHE[cell.key]
-
-        def sweep(cells):
-            runner = ParallelRunner(workers=4)
-            return runner.map(run_cell, cells)  # RL008: pool-unsafe work
-
-    Clean
-    -----
-    ::
-
-        def run_cell(cell):
-            return simulate(cell)               # pure, top-level
-
-        def sweep(cells):
-            return ParallelRunner(workers=4).map(run_cell, cells)
-    """
-
-    code = "RL008"
-    name = "pool-unsafe-work"
-    severity = "error"
-    description = (
-        "lambda/closure or transitively impure callable submitted to a "
-        "ParallelRunner map"
-    )
-
-    def check_program(self, program: Program) -> Iterator[LintFinding]:
-        for fqid, fn, fs, cls_name in program.all_functions():
-            for call in fn.calls:
-                if not call.recv_runner:
-                    continue
-                if _leaf(call.callee) not in ("map", "starmap"):
-                    continue
-                if not call.args:
-                    continue
-                work = call.args[0]
-                symbol = fn.name
-                yield from self._check_work(
-                    program, fs, fn, call.lineno, call.col, work, symbol
-                )
-
-    def _check_work(
-        self,
-        program: Program,
-        fs: FileSummary,
-        fn: FunctionSummary,
-        line: int,
-        col: int,
-        work: dict[str, Any],
-        symbol: str,
-    ) -> Iterator[LintFinding]:
-        kind = work.get("kind")
-        if kind == "lambda":
-            free = work.get("free", [])
-            detail = (
-                f" capturing {', '.join(free)}" if free else ""
-            )
-            yield self.program_finding(
-                fs.path,
-                line,
-                col,
-                "lambda submitted to ParallelRunner.map is unpicklable"
-                f"{detail}; use a top-level function",
-                symbol,
-            )
-            return
-        if kind != "ref":
-            return  # params/attrs/other: resolved dynamically, skip
-        ref = work["ref"]
-        # A nested def referenced by bare name inside the enclosing
-        # function shadows any module-level symbol of the same name.
-        nested_q = f"{fn.name}.<locals>.{ref}"
-        target_id: str | None = None
-        target_fn = fs.functions.get(nested_q)
-        if target_fn is not None:
-            target_id = f"{fs.module}.{nested_q}"
-            if target_fn.free_vars:
-                yield self.program_finding(
-                    fs.path,
-                    line,
-                    col,
-                    f"nested function '{ref}' submitted to ParallelRunner "
-                    f"closes over {', '.join(target_fn.free_vars)} and is "
-                    "unpicklable under spawn; hoist it to module level",
-                    symbol,
-                )
-        else:
-            target_id = program.resolve_name(fs.module, ref)
-        if target_id is None:
-            return
-        effects = program.effects.get(target_id, {})
-        for ekind in sorted(effects):
-            w: Witness = effects[ekind]
-            label = {
-                "global_write": "writes module-global state",
-                "rng": "draws from an unseeded RNG",
-                "clock": "reads a wall clock",
-            }.get(ekind, ekind)
-            yield self.program_finding(
-                fs.path,
-                line,
-                col,
-                f"pool-submitted '{ref}' {label}: {w.render()} — results "
-                "diverge across worker processes",
-                symbol,
-            )
-
-
-@register
-class ParameterDomainViolation(ProgramRule):
-    """RL009 — constructor/call arguments outside a raise-guarded domain.
-
-    Why
-    ---
-    The paper's competitive ratios only exist on open parameter domains:
-    CDB is (3α+4+2/(α−1))-competitive for ``α > 1`` (Theorem 4.4) and
-    Profit is (2k+2+1/(k−1))-competitive for ``k > 1`` (Theorem 4.11) —
-    at the boundary the bounds are vacuous and the implementations raise.
-    RL009 derives each callable's domain from its own ``if p <= c:
-    raise`` guards and constant-folds call sites (literals, module
-    constants across modules, ``make_scheduler("name", …)`` registry
-    lookups) so an out-of-domain literal fails review, not the
-    experiment night.
-
-    Offending
-    ---------
-    ::
-
-        from repro.schedulers import ClassifyByDurationBatchPlus
-
-        sched = ClassifyByDurationBatchPlus(alpha=1.0)
-        # RL009: the constructor raises when alpha <= 1
-
-    Clean
-    -----
-    ::
-
-        sched = ClassifyByDurationBatchPlus(alpha=2.0)
-        # inside the Theorem 4.4 domain (alpha > 1)
-    """
-
-    code = "RL009"
-    name = "parameter-domain-violation"
-    severity = "error"
-    description = (
-        "constant argument violates the callee's raise-guarded parameter "
-        "domain (e.g. CDB alpha <= 1, Profit k <= 1)"
-    )
-
-    def check_program(self, program: Program) -> Iterator[LintFinding]:
-        for fqid, fn, fs, cls_name in program.all_functions():
-            for call in fn.calls:
-                yield from self._check_call(program, fs, fn, cls_name, call)
-
-    def _check_call(
-        self,
-        program: Program,
-        fs: FileSummary,
-        fn: FunctionSummary,
-        cls_name: str | None,
-        call: Any,
-    ) -> Iterator[LintFinding]:
-        # Registry indirection: make_scheduler("cdb", alpha=1.0).
-        if _leaf(call.callee) == "make_scheduler" and call.args:
-            first = call.args[0]
-            if (
-                first.get("kind") == "const"
-                and first["const"]["k"] == "str"
-            ):
-                cls_fq = program.scheduler_by_registry_name(first["const"]["v"])
-                if cls_fq is not None:
-                    target, _ = program.callable_summary("class", cls_fq)
-                    if target is not None:
-                        shifted = type(call)(
-                            callee=call.callee,
-                            lineno=call.lineno,
-                            col=call.col,
-                            args=call.args[1:],
-                            kwargs=call.kwargs,
-                        )
-                        yield from self._check_bound(
-                            program,
-                            fs,
-                            fn,
-                            shifted,
-                            target,
-                            True,
-                            f"{call.callee}({first['const']['v']!r}, …)",
-                        )
-            return
-        resolved = program.resolve_call(call, fs.module, cls_name)
-        if resolved is None:
-            return
-        kind, symbol = resolved
-        target, skip_self = program.callable_summary(kind, symbol)
-        if target is None or not target.guards:
-            return
-        yield from self._check_bound(
-            program, fs, fn, call, target, skip_self, f"{call.callee}(…)"
-        )
-
-    def _check_bound(
-        self,
-        program: Program,
-        fs: FileSummary,
-        fn: FunctionSummary,
-        call: Any,
-        target: FunctionSummary,
-        skip_self: bool,
-        label: str,
-    ) -> Iterator[LintFinding]:
-        if not target.guards:
-            return
-        for tparam, arg in program.bind_args(call, target, skip_self):
-            value = self._numeric_value(program, fs.module, arg)
-            if value is None:
-                continue
-            for gparam, gop, gconst, _gline in target.guards:
-                if gparam != tparam:
-                    continue
-                op = _OPS.get(gop)
-                if op is not None and op(value, gconst):
-                    yield self.program_finding(
-                        fs.path,
-                        call.lineno,
-                        call.col,
-                        f"{label} passes {tparam}={value!r}, but the callee "
-                        f"raises when {tparam} {gop} {gconst:g}",
-                        fn.name,
-                    )
-
-    @staticmethod
-    def _numeric_value(
-        program: Program, module: str, arg: dict[str, Any]
-    ) -> float | None:
-        if arg.get("kind") == "const" and arg["const"]["k"] == "num":
-            return float(arg["const"]["v"])
-        if arg.get("kind") == "ref":
-            resolved = program.resolve_const(module, arg["ref"])
-            if isinstance(resolved, bool):
-                return float(int(resolved))
-            if isinstance(resolved, (int, float)):
-                return float(resolved)
-        return None
-
-
-@register
-class HeapKeyTypeMix(ProgramRule):
-    """RL010 — event-heap tuples mixing un-orderable key types.
-
-    Why
-    ---
-    PR 1's hot-path engine pushes *raw tuples* onto ``heapq`` event
-    heaps for speed — which is only safe when every pushed tuple is
-    orderable against every other.  Two pushes whose tuples can tie on
-    the leading slots and then compare a number against a string (or
-    reach a dict/``None``) raise ``TypeError`` at runtime, but only on
-    the adversarial instance that produces the tie.  RL010 classifies
-    the element types of every ``heappush`` tuple and flags heaps whose
-    pushes can collide on an un-orderable slot.
-
-    Offending
-    ---------
-    ::
-
-        heapq.heappush(self._events, (t, "deadline", job))
-        heapq.heappush(self._events, (t, 0, job))   # RL010: str vs int
-                                                    # at slot 1 on a tie
-
-    Clean
-    -----
-    ::
-
-        heapq.heappush(self._events, (t, 0, seq, job))
-        heapq.heappush(self._events, (t, 1, seq, job))  # ints everywhere
-    """
-
-    code = "RL010"
-    name = "heap-key-type-mix"
-    severity = "error"
-    description = (
-        "heappush tuples on one heap mix un-orderable element types "
-        "(TypeError on a tie)"
-    )
-
-    def check_program(self, program: Program) -> Iterator[LintFinding]:
-        groups: dict[tuple[str, str], list[tuple[FileSummary, str, list[Any]]]] = {}
-        for fqid, fn, fs, cls_name in program.all_functions():
-            for push in fn.heap_pushes:
-                heap_ref = push[0]
-                if heap_ref.startswith("self.") and cls_name is not None:
-                    scope = f"{fs.module}.{cls_name}"
-                else:
-                    scope = fqid
-                groups.setdefault((scope, heap_ref), []).append(
-                    (fs, fn.name, push)
-                )
-        for (scope, heap_ref), pushes in sorted(groups.items()):
-            if len(pushes) < 2:
-                continue
-            flagged = False
-            for i in range(len(pushes)):
-                if flagged:
-                    break
-                for j in range(i + 1, len(pushes)):
-                    conflict = self._conflict(pushes[i][2][1], pushes[j][2][1])
-                    if conflict is None:
-                        continue
-                    slot, ca, cb = conflict
-                    fs, fname, push = pushes[j]
-                    a_fs, _a_fname, a_push = pushes[i]
-                    yield self.program_finding(
-                        fs.path,
-                        push[2],
-                        push[3],
-                        f"heappush onto {heap_ref} mixes {cb} with {ca} at "
-                        f"tuple slot {slot} (other push at "
-                        f"{a_fs.path}:{a_push[2]}): TypeError on a tie",
-                        fname,
-                    )
-                    flagged = True
-                    break
-
-    @staticmethod
-    def _conflict(
-        cats_a: list[str], cats_b: list[str]
-    ) -> tuple[int, str, str] | None:
-        for slot, (a, b) in enumerate(zip(cats_a, cats_b)):
-            if a == "unknown" and b == "unknown":
-                continue  # e.g. the same time variable: a tie is plausible
-            if a == "unknown" or b == "unknown":
-                return None  # unknown vs concrete: cannot conclude
-            if a == "unorderable" or b == "unorderable":
-                return (slot, a, b)
-            if a == b:
-                continue  # same orderable category: a tie proceeds
-            # num/str/none cross-category mix: TypeError when reached.
-            return (slot, a, b)
-        return None

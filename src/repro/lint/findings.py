@@ -21,7 +21,7 @@ class LintFinding:
     Attributes
     ----------
     rule:
-        Rule code (``"RL001"`` … ``"RL021"``).
+        Rule code (``"RL003"`` … ``"RL021"``).
     severity:
         ``"error"`` (gates CI) or ``"warning"`` (informational).
     path:
@@ -31,8 +31,7 @@ class LintFinding:
     message:
         Human-readable explanation.
     symbol:
-        The enclosing class/function (``"Batch.on_arrival"``) when known;
-        used for stable baseline fingerprints that survive line shifts.
+        The enclosing class/function (``"Batch.on_arrival"``) when known.
     """
 
     rule: str
@@ -42,16 +41,6 @@ class LintFinding:
     col: int
     message: str
     symbol: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """A line-number-free identity used by the baseline file.
-
-        ``rule:path:symbol:message`` is stable under unrelated edits
-        above the finding; two identical violations in one symbol share a
-        fingerprint and are counted (see :mod:`repro.lint.baseline`).
-        """
-        return f"{self.rule}:{self.path}:{self.symbol}:{self.message}"
 
     def render(self) -> str:
         sym = f" [{self.symbol}]" if self.symbol else ""
@@ -95,7 +84,6 @@ class LintReport:
     #: misses); equals ``files_scanned`` when no incremental cache is used.
     files_reanalyzed: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def errors(self) -> list[LintFinding]:
@@ -107,11 +95,8 @@ class LintReport:
 
     @property
     def clean(self) -> bool:
-        """True when nothing gates: no (non-baselined) errors."""
+        """True when nothing gates: no errors."""
         return not self.errors
-
-    def extend(self, findings: list[LintFinding]) -> None:
-        self.findings.extend(findings)
 
     def sort(self) -> None:
         self.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -128,8 +113,6 @@ class LintReport:
             extras.append(f"{self.files_reanalyzed} reanalyzed")
         if self.suppressed:
             extras.append(f"{self.suppressed} suppressed")
-        if self.baselined:
-            extras.append(f"{self.baselined} baselined")
         if extras:
             summary += f"  ({', '.join(extras)})"
         lines.append(summary)
@@ -142,7 +125,6 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "files_reanalyzed": self.files_reanalyzed,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "errors": len(self.errors),
             "warnings": len(self.warnings),
             "clean": self.clean,

@@ -1,19 +1,7 @@
-"""RL003 — float-hygiene in theorem-certification code.
+"""RL003 — float hygiene in theorem-certification code.
 
-The certification stack (``analysis/theory.py``, ``analysis/certify.py``
-and everything under ``offline/``) turns measured spans into *verdicts*
-about the paper's theorems.  An exact ``==`` / ``!=`` between
-float-typed expressions there is a latent soundness bug: two
-mathematically equal spans computed along different operation orders
-differ in ULPs, silently flipping a certification.  The repo convention
-is exact :class:`fractions.Fraction` arithmetic where the theorem
-demands equality, or an explicit documented tolerance (``abs(a - b) <=
-1e-12``) where rounding is accepted.
-
-Float-typedness is inferred locally (annotations, float literals, true
-division, ``math.*`` calls, known model attributes) — see
-:class:`repro.lint.astutils.FloatTyper`.  Comparisons that are obviously
-integral (``len(x) == 0``, int literals both sides) are never flagged.
+The rationale and snippets are :class:`FloatHygieneRule`'s docstring,
+which ``python -m repro lint --explain RL003`` prints.
 """
 
 from __future__ import annotations
@@ -21,11 +9,155 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .astutils import FloatTyper, walk_functions
 from .base import FileContext, Rule, register
 from .findings import LintFinding
 
 __all__ = ["FloatHygieneRule"]
+
+#: Model attributes statically known to be floats (paper quantities).
+KNOWN_FLOAT_ATTRS = {
+    "arrival",
+    "deadline",
+    "laxity",
+    "length",
+    "size",
+    "span",
+    "measure",
+    "left",
+    "right",
+    "mu",
+    "total_work",
+    "max_length",
+    "min_length",
+    "horizon",
+    "start_time",
+    "lower",
+    "upper",
+    "width",
+}
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for nested Name/Attribute chains, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _annotation_leaf(node: ast.expr | None) -> str | None:
+    """The rightmost identifier of an annotation (handles strings/Optional)."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.strip().rsplit(".", 1)[-1].rstrip("]").strip('"')
+    if isinstance(node, ast.Subscript):  # Optional[JobView] etc.
+        return _annotation_leaf(node.slice)
+    name = dotted_name(node)
+    if name is not None:
+        return name.rsplit(".", 1)[-1]
+    return None
+
+
+class FloatTyper:
+    """Heuristic float-typedness for RL003.
+
+    A conservative, annotation-driven local inference:
+
+    * float literals with any value, and true division ``/``;
+    * ``math.*`` calls (the module is all-float), ``float(...)``;
+    * names of parameters / locals annotated ``float``;
+    * locals assigned from calls to module functions whose *return
+      annotation* is ``float``;
+    * attributes in :data:`KNOWN_FLOAT_ATTRS` (the model's quantities).
+
+    ``is_float(node)`` answers for one expression; the typer is built per
+    module (for the return-annotation map) and then primed per function.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self._float_returning: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _annotation_leaf(node.returns) == "float":
+                    self._float_returning.add(node.name)
+        self._float_names: set[str] = set()
+
+    def reset(self) -> None:
+        """Clear per-function state (module-level expressions)."""
+        self._float_names = set()
+
+    def prime(self, fn: ast.FunctionDef) -> None:
+        """Collect float-annotated / float-assigned local names of ``fn``."""
+        names: set[str] = set()
+        args = fn.args
+        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            if _annotation_leaf(a.annotation) == "float":
+                names.add(a.arg)
+        changed = True
+        while changed:
+            before = len(names)
+            self._float_names = names
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and self.is_float(node.value):
+                    for t in node.targets:
+                        if isinstance(t, ast.Name):
+                            names.add(t.id)
+                elif isinstance(node, ast.AnnAssign):
+                    if _annotation_leaf(node.annotation) == "float" and isinstance(
+                        node.target, ast.Name
+                    ):
+                        names.add(node.target.id)
+            changed = len(names) != before
+        self._float_names = names
+
+    def is_float(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, float)
+        if isinstance(node, ast.Name):
+            return node.id in self._float_names
+        if isinstance(node, ast.Attribute):
+            return node.attr in KNOWN_FLOAT_ATTRS
+        if isinstance(node, ast.UnaryOp):
+            return self.is_float(node.operand)
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, ast.Div):
+                return True
+            return self.is_float(node.left) or self.is_float(node.right)
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            if name is None:
+                return False
+            if name.startswith("math.") and name != "math.isqrt":
+                return True
+            if name in ("float", "abs") and node.args:
+                return name == "float" or self.is_float(node.args[0])
+            leaf = name.rsplit(".", 1)[-1]
+            return leaf in self._float_returning
+        if isinstance(node, ast.IfExp):
+            return self.is_float(node.body) or self.is_float(node.orelse)
+        return False
+
+    def is_intlike(self, node: ast.expr) -> bool:
+        """Obviously-integer expressions (``len(...)``, int literals)."""
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, int) and not isinstance(node.value, bool)
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            return name in ("len", "int", "round", "math.isqrt", "ord", "id")
+        return False
+
+
+def walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
+    """Every (sync or async) function/method definition in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node  # type: ignore[misc]
+
 
 _TARGET_SUFFIXES = (
     "analysis/theory.py",
@@ -42,6 +174,35 @@ def _in_scope(path: str) -> bool:
 
 @register
 class FloatHygieneRule(Rule):
+    """RL003 — exact ``==`` / ``!=`` between floats in certification code.
+
+    The certification stack (``analysis/theory.py``,
+    ``analysis/certify.py`` and everything under ``offline/``) turns
+    measured spans into *verdicts* about the paper's theorems.  An exact
+    comparison between float-typed expressions there is a latent
+    soundness bug: two mathematically equal spans computed along
+    different operation orders differ in ULPs, silently flipping a
+    certification.  Use exact :class:`fractions.Fraction` arithmetic
+    where the theorem demands equality, or a documented tolerance where
+    rounding is accepted.
+
+    Float-typedness is inferred locally (annotations, float literals,
+    true division, ``math.*`` calls, known model attributes) — see
+    :class:`FloatTyper`.  Obviously integral comparisons
+    (``len(x) == 0``, int literals on both sides) and ``None``/str/bool
+    sentinels are never flagged.
+
+    Offending::
+
+        def rigid(job):
+            return job.laxity == 0              # RL003
+
+    Clean::
+
+        def rigid(job):
+            return job.laxity <= 1e-12          # documented tolerance
+    """
+
     code = "RL003"
     name = "float-hygiene"
     severity = "error"
@@ -85,13 +246,10 @@ class FloatHygieneRule(Rule):
                 continue
             if typer.is_intlike(left) and typer.is_intlike(right):
                 continue
-            lf, rf = typer.is_float(left), typer.is_float(right)
-            if not (lf or rf):
+            if not (typer.is_float(left) or typer.is_float(right)):
                 continue
-            if (lf and typer.is_intlike(right)) or (rf and typer.is_intlike(left)):
-                # float vs int literal/len() — still exact, still flagged:
-                # `laxity == 0` misses laxity == 5e-17 jitter.
-                pass
+            # float vs int literal/len() is still exact, so still flagged:
+            # `laxity == 0` misses laxity == 5e-17 jitter.
             opname = "==" if isinstance(op, ast.Eq) else "!="
             yield self.finding(
                 ctx,

@@ -1,47 +1,7 @@
 """RL012 — hot-path object allocation (columnar-core discipline).
 
-The engine's dispatch loop went columnar precisely to stop allocating a
-``Job``/``JobView`` per event: on the §3.1 macro constructions (k = 2:
-65 808 jobs, >260 000 events) per-event object construction is the
-dominant cost, and the ``JobTable`` struct-of-arrays layout removes it.
-That win is easy to erode one convenience at a time — a ``Job(...)``
-here for an error message, a ``[job.arrival for job in ...]`` there for
-a heap push — so this rule polices the hot sections of the two engine
-cores (``repro/core/engine.py`` and ``repro/core/columnar.py``).
-
-A **hot section** is a function whose name marks it as per-event or
-per-cohort code: the dispatch loop (``_dispatch``), the event handlers
-(``_handle_*``), the cohort paths (``_cohort_*``, ``_complete_*``,
-``_assign_*``, ``_gather*``), the start paths (``_start_*``) and the
-heap feeders (``_push_*``).  Inside those, the rule flags:
-
-* construction of a per-job object — ``Job(...)``, ``JobView(...)``.
-  Hot code must address
-  jobs by row index and materialise objects only at API boundaries
-  (the lazily-cached ``JobTable.job`` / ``ColumnarCore._view`` are the
-  sanctioned paths);
-* a per-job *attribute-gather loop* — a comprehension whose element is
-  an attribute read off the loop variable, or a ``for`` loop whose
-  body ``.append()``s such a read.  Scalar field reads in a loop mean
-  the code is walking objects where it should be slicing a column (or
-  reading the table's prebuilt list mirrors).
-
-Offending::
-
-    def _handle_completion(self, idx):
-        job = Job(id=idx, arrival=0.0, deadline=1.0)     # RL012
-        deadlines = [j.deadline for j in self._pending]  # RL012
-
-Clean::
-
-    def _handle_completion(self, idx):
-        jid = self._table.ids_list[idx]          # list-mirror scalar read
-        deadlines = self._table.deadline[rows]   # column slice
-
-Error paths that deliberately rebuild the offending ``Job`` to re-raise
-its exact validation error run *outside* loops and are not
-flagged; a deliberate in-loop materialisation takes an explicit
-``# lint: ignore[RL012]``.
+The rationale and snippets are :class:`HotPathAllocRule`'s docstring,
+which ``python -m repro lint --explain RL012`` prints.
 """
 
 from __future__ import annotations
@@ -51,9 +11,33 @@ from typing import Iterator
 
 from .base import FileContext, Rule, register
 from .findings import LintFinding
-from .scopes import HOT_CORE_FRAGMENTS, HOT_SECTION_PREFIXES
 
 __all__ = ["HOT_CORE_FRAGMENTS", "HOT_SECTION_PREFIXES", "HotPathAllocRule"]
+
+#: The files whose hot sections RL012 polices.  The serve package rides
+#: along: its per-op paths run once per protocol line, and per-job
+#: object materialisation belongs at its protocol boundary
+#: (``job_from_op``), not inside worker/dispatch sections.  So does the
+#: live telemetry plane (``repro/obs/live.py``): its ``_handle_*``
+#: record handlers run once per engine record on armed serve sessions.
+HOT_CORE_FRAGMENTS = (
+    "repro/core/engine.py",
+    "repro/core/columnar.py",
+    "repro/serve/",
+    "repro/obs/live.py",
+)
+
+#: Function-name prefixes marking per-event / per-cohort code.
+HOT_SECTION_PREFIXES = (
+    "_dispatch",
+    "_handle_",
+    "_cohort_",
+    "_complete_",
+    "_assign_",
+    "_gather",
+    "_start_",
+    "_push_",
+)
 
 #: Per-job object constructors that must not run per event.
 _PER_JOB_TYPES = frozenset({"Job", "JobView"})
@@ -93,10 +77,10 @@ class HotPathAllocRule(Rule):
     columns, and ``Job``/``JobView`` objects exist only at API
     boundaries (lazily cached by ``JobTable.job`` and
     ``ColumnarCore._view``).  This rule keeps it that way: inside hot
-    sections of ``repro/core/engine.py`` and ``repro/core/columnar.py``
-    — functions named ``_dispatch*``, ``_handle_*``, ``_cohort_*``,
-    ``_complete_*``, ``_assign_*``, ``_gather*``, ``_start_*``,
-    ``_push_*`` — it flags
+    sections of the files in :data:`HOT_CORE_FRAGMENTS` (the engine
+    core, the serving layer, the live telemetry feed) — functions named
+    ``_dispatch*``, ``_handle_*``, ``_cohort_*``, ``_complete_*``,
+    ``_assign_*``, ``_gather*``, ``_start_*``, ``_push_*`` — it flags
 
     * ``Job(...)`` / ``JobView(...)`` constructor calls, and
     * per-job attribute-gather loops: a comprehension whose element is

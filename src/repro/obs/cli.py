@@ -8,8 +8,8 @@ Subcommands
     Human-readable narrative of why each job started when it did
     (paper-rule provenance), cross-checked against ``audit()``.
     ``--strict`` exits non-zero on unattributed starts, decision rules
-    outside the closed ``DECISION_RULES`` vocabulary (the runtime face
-    of lint rule RL015), or audit failure.
+    outside the closed ``DECISION_RULES`` vocabulary, or audit
+    failure.
 ``diff <before> <after> [--threshold 0.10]``
     Compare two trace summaries *or* two ``BENCH_perf.json`` files
     (auto-detected).  Exits 1 when any quantity regressed beyond the

@@ -147,7 +147,7 @@ class Explanation:
     audit_feasible: bool | None = None
     audit_notes: list[str] = field(default_factory=list)
     #: decision names outside :data:`~repro.obs.records.DECISION_RULES`,
-    #: with occurrence counts — the runtime face of RL015.
+    #: with occurrence counts.
     unknown_rules: dict[str, int] = field(default_factory=dict)
     #: per-tenant live-LB reconciliation rows (``""`` = untagged trace):
     #: ``{span, live_lb, ratio, monotone, reference_lb, consistent}``.
@@ -195,7 +195,7 @@ class Explanation:
         for name, count in sorted(self.unknown_rules.items()):
             lines.append(
                 f"vocabulary: UNKNOWN rule {name!r} emitted {count}x — not in "
-                "DECISION_RULES (RL015 violated at runtime)"
+                "DECISION_RULES"
             )
         for name, row in sorted(self.telemetry.items()):
             label = name or "(trace)"

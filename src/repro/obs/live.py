@@ -109,8 +109,8 @@ class TenantTelemetry:
     directly, with the attributes of each ``engine.release`` /
     ``engine.start`` / ``engine.completion`` instant and each decision's
     rule, as the engine emits them; no record is built for the feed
-    (the handlers are inside the RL011/RL012 hot-section lint scope: no
-    stdio, no per-job object materialisation).  :meth:`observe` is the
+    (the handlers are inside the RL012 hot-section lint scope: no
+    per-job object materialisation; and they write no stdio).  :meth:`observe` is the
     record-dispatch entry used by trace replay (``repro obs explain`` /
     ``summarize``) and tests.
     """

@@ -91,10 +91,9 @@ DECISION_RULES: dict[str, str] = {
 def decision_vocabulary() -> frozenset[str]:
     """The closed set of legal decision-rule names.
 
-    This is the runtime face of the same contract the static analyzer
-    proves as RL015 (:mod:`repro.lint.invariants.vocabulary`): every
-    ``obs.decision(reason, ...)`` a scheduler emits must name one of
-    these rules, and every rule must be reachable from some scheduler.
+    Every ``obs.decision(reason, ...)`` a scheduler emits must name one
+    of these rules, and every rule must be reachable from some scheduler
+    (``tests/test_obs_explain.py`` checks both directions).
     ``repro obs explain --strict`` rejects traces that violate it.
     """
     return frozenset(DECISION_RULES)

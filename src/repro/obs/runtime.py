@@ -31,8 +31,8 @@ def _from_env() -> Recorder:
 # parent before the pool spawns arms every worker identically).  Eager
 # initialisation keeps :func:`get_recorder` a *pure read*: pool-submitted
 # work functions call it on every ``Simulator`` construction, and a lazy
-# global write there would be exactly the cross-process divergence RL008
-# exists to flag.
+# global write there would be exactly the cross-process divergence
+# ``tests/test_perf_parallel.py`` checks pool work for.
 _ambient: Recorder = _from_env()
 
 

@@ -1,7 +1,7 @@
 """``python -m repro serve`` — argument parsing and daemon launch.
 
-This module stays print-free (the serve package is inside the lint
-RL011 scope): every human-facing line goes through the ``echo``
+This module stays print-free (the serve package writes no stray
+output): every human-facing line goes through the ``echo``
 callable the top-level CLI injects, and the daemon itself only ever
 speaks the JSONL protocol on its sockets.
 """

@@ -4,7 +4,7 @@ The async-safety lint rules prove event-loop hygiene *statically*:
 RL017 that no loop-reachable coroutine's sync call closure blocks,
 RL018 that no ``create_task`` handle is discarded.  This module is the
 *runtime* half of that certificate, in the same mold as the
-``REPRO_STRICT`` clairvoyance oracle (RL001):
+``REPRO_STRICT`` clairvoyance oracle (RL007):
 
 * :class:`InstrumentedEventLoop` wraps every scheduled callback —
   including every coroutine step, since tasks advance via

@@ -5,6 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Instance
+from repro.lint import LintReport, default_target, lint_paths
+
+
+@pytest.fixture(scope="session")
+def shipped_lint_report() -> LintReport:
+    """One lint run of the shipped package with every rule, shared by the
+    tests that assert the tree is clean."""
+    return lint_paths([default_target()])
 
 
 @pytest.fixture

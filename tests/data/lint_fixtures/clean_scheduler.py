@@ -1,4 +1,4 @@
-"""RL001 fixture (negative case): an honest non-clairvoyant scheduler.
+"""RL007 fixture (negative case): an honest non-clairvoyant scheduler.
 
 Only reads ``job.length`` inside ``on_completion``, where it is visible in
 every information model.  The linter must report nothing for this file and

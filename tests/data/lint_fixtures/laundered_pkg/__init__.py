@@ -1,13 +1,13 @@
 """RL007 fixture package: a clairvoyance leak laundered across modules.
 
 ``sched.py`` declares ``requires_clairvoyance = False`` but routes every
-pre-completion length read through :mod:`laundered_pkg.helpers` — which
-is exactly the blind spot of per-file RL001 and the *raison d'être* of
-whole-program RL007.  ``tests/test_lint_dataflow.py`` asserts three
+pre-completion length read through :mod:`laundered_pkg.helpers`, a
+leak no single-file view can see; the whole-program taint of RL007
+follows it.  ``tests/test_lint_dataflow.py`` asserts two
 things on this package:
 
-* RL001 alone reports **nothing** (the leak is invisible per-file);
-* RL007 reports the laundered leak in ``sched.py``;
+* RL007 reports the laundered leak in ``sched.py``, with a witness in
+  ``helpers.py``;
 * the runtime :class:`~repro.core.engine.ClairvoyanceGuard` agrees —
   running :class:`laundered_pkg.sched.LaunderingScheduler` under strict
   mode raises :class:`~repro.core.ClairvoyanceError`.

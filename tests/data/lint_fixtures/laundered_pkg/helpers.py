@@ -1,6 +1,6 @@
 """Innocent-looking helpers that read clairvoyant state.
 
-No scheduler class lives here, so per-file RL001 has nothing to say
+No scheduler class lives here, so a one-file check has nothing to say
 about this module — the functions just take "some object" and read its
 ``length``.  Only the whole-program taint analysis connects them to the
 non-clairvoyant caller in :mod:`laundered_pkg.sched`.

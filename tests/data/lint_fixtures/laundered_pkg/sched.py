@@ -1,6 +1,6 @@
 """The launderer: non-clairvoyant by declaration, clairvoyant by dataflow.
 
-Per-file RL001 sees only a call to ``helpers.effective_weight(job)`` —
+The scheduler's own file shows only ``helpers.effective_weight(job)`` —
 no ``.length`` read in sight.  RL007 resolves the call edge into
 :mod:`laundered_pkg.helpers`, finds the transitive read, and reports it
 *here*, at the launder site.
@@ -23,7 +23,7 @@ class LaunderingScheduler(OnlineScheduler):
     requires_clairvoyance: ClassVar[bool] = False  # <-- the laundered lie
 
     def on_arrival(self, ctx: SchedulerContext, job: JobView) -> None:
-        # The leak RL001 cannot see: job.length is read two call hops
+        # The leak no one-file view sees: job.length is read two call hops
         # away, in a different module.
         if helpers.effective_weight(job) > 2.0:
             ctx.start(job.id)

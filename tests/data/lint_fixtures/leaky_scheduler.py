@@ -1,10 +1,10 @@
-"""RL001 fixture: a scheduler that *claims* to be non-clairvoyant yet
+"""RL007 fixture: a scheduler that *claims* to be non-clairvoyant yet
 reads ``job.length`` before completion.
 
 ``tests/test_lint.py`` uses this file two ways:
 
 * statically — ``python -m repro lint`` on this path must exit non-zero
-  with an RL001 finding;
+  with an RL007 finding;
 * dynamically — running it through the simulator in strict mode must trip
   the :class:`~repro.core.engine.ClairvoyanceGuard` on the same access.
 
@@ -24,7 +24,7 @@ class LeakyScheduler(OnlineScheduler):
     """Mis-declared: peeks at processing lengths on arrival."""
 
     name: ClassVar[str] = "fixture-leaky"
-    requires_clairvoyance: ClassVar[bool] = False  # <-- the lie RL001 catches
+    requires_clairvoyance: ClassVar[bool] = False  # <-- the lie RL007 catches
 
     def on_arrival(self, ctx: SchedulerContext, job: JobView) -> None:
         # Clairvoyance leak: `length` is hidden pre-completion in the

@@ -1,4 +1,4 @@
-"""RL011/RL012 fixture: the sanctioned live-telemetry idioms — no findings.
+"""RL012 fixture: the sanctioned live-telemetry idioms — no findings.
 
 Linted under a virtual ``src/repro/obs/live.py`` path.  The per-record
 ``_handle_*`` sections mutate scalar aggregates and sorted primitive

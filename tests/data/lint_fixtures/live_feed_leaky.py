@@ -1,9 +1,9 @@
-"""RL011/RL012 fixture: a live-telemetry feed that leaks on the hot path.
+"""RL012 fixture: a live-telemetry feed that allocates on the hot path.
 
 Linted under a virtual ``src/repro/obs/live.py`` path — the per-record
-``_handle_*`` sections below print (RL011) and materialise per-record
-objects (RL012), both of which the real telemetry plane must never do:
-it runs once per engine record on every armed serve session.
+``_handle_*`` sections below materialise per-record objects and gather
+attributes off record objects (RL012), which the real telemetry plane
+must never do: it runs once per engine record on every armed session.
 """
 
 from repro.core import Job  # noqa
@@ -11,8 +11,8 @@ from repro.core import Job  # noqa
 
 class LeakyTelemetry:
     def _handle_release(self, attrs):
-        # Per-record stdout write inside the feed.
-        print("release", attrs["job"])  # RL011
+        # Per-record object construction inside the feed.
+        attrs = dict(attrs)
         job = Job(  # RL012
             id=attrs["job"],
             arrival=attrs["arrival"],

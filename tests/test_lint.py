@@ -1,6 +1,6 @@
 """Tests for the ``repro.lint`` static analyzer and its runtime twin.
 
-The headline contract: RL001 (the static clairvoyance-leak rule) and the
+The headline contract: RL007 (the static clairvoyance rule) and the
 engine's :class:`ClairvoyanceGuard` (the dynamic oracle, armed under
 strict mode) must agree on the shared fixture schedulers in
 ``tests/data/lint_fixtures/`` — the leaky one is flagged by *both*, the
@@ -20,21 +20,14 @@ from pathlib import Path
 import pytest
 
 from repro.core import ClairvoyanceError, Instance, Simulator, strict_mode_enabled
-from repro.lint import (
-    ALL_RULES,
-    Baseline,
-    default_target,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    rule_by_code,
-    write_baseline,
-)
+from repro.lint import ALL_RULES, lint_paths, lint_source, rule_by_code
 
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
 LEAKY = FIXTURES / "leaky_scheduler.py"
 CLEAN = FIXTURES / "clean_scheduler.py"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+KEPT_RULES = {"RL003", "RL007", "RL012", "RL017", "RL018", "RL019", "RL020", "RL021"}
 
 
 def _load_fixture_class(path: Path, class_name: str):
@@ -55,155 +48,12 @@ def codes(findings) -> set[str]:
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        got = {r.code for r in ALL_RULES}
-        assert {"RL001", "RL002", "RL003", "RL004", "RL005"} <= got
+        assert {r.code for r in ALL_RULES} == KEPT_RULES
 
     def test_rule_by_code(self):
-        assert rule_by_code("RL001").code == "RL001"
+        assert rule_by_code("RL003").code == "RL003"
         with pytest.raises(KeyError):
             rule_by_code("RL999")
-
-
-# ---------------------------------------------------------------------------
-# RL001 — clairvoyance leaks
-# ---------------------------------------------------------------------------
-
-LEAKY_SRC = textwrap.dedent(
-    """
-    from repro.schedulers.base import OnlineScheduler
-
-    class Sneaky(OnlineScheduler):
-        requires_clairvoyance = False
-
-        def on_arrival(self, ctx, job):
-            if job.length > 2:
-                ctx.start(job.id)
-    """
-)
-
-
-class TestRL001:
-    def test_flags_direct_read(self):
-        findings = lint_source(LEAKY_SRC, "x.py")
-        assert codes(findings) == {"RL001"}
-        (f,) = findings
-        assert "length" in f.message and "Sneaky" in f.symbol
-
-    def test_declared_clairvoyant_is_fine(self):
-        src = LEAKY_SRC.replace(
-            "requires_clairvoyance = False", "requires_clairvoyance = True"
-        )
-        assert lint_source(src, "x.py") == []
-
-    def test_completion_read_is_fine(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class Honest(OnlineScheduler):
-                requires_clairvoyance = False
-
-                def on_completion(self, ctx, job):
-                    self.total += job.length
-            """
-        )
-        assert lint_source(src, "x.py") == []
-
-    def test_leak_through_helper_method(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class Indirect(OnlineScheduler):
-                requires_clairvoyance = False
-
-                def on_arrival(self, ctx, job):
-                    self._peek(job)
-
-                def _peek(self, job):
-                    return job.length
-            """
-        )
-        findings = lint_source(src, "x.py")
-        assert codes(findings) == {"RL001"}
-        assert any("_peek" in f.symbol for f in findings)
-
-    def test_pending_loop_variable_tracked(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class LoopLeak(OnlineScheduler):
-                requires_clairvoyance = False
-
-                def on_deadline(self, ctx, job):
-                    for p in ctx.pending():
-                        if p.length < 1:
-                            ctx.start(p.id)
-            """
-        )
-        assert codes(lint_source(src, "x.py")) == {"RL001"}
-
-    def test_non_scheduler_class_untouched(self):
-        src = textwrap.dedent(
-            """
-            class Interval:
-                def __init__(self, length):
-                    self.job = object()
-
-                def use(self, job):
-                    return job.length
-            """
-        )
-        assert lint_source(src, "x.py") == []
-
-
-# ---------------------------------------------------------------------------
-# RL002 — nondeterminism (scoped to schedulers/ and adversaries/ paths)
-# ---------------------------------------------------------------------------
-
-
-class TestRL002:
-    SCOPED = "src/repro/schedulers/x.py"
-
-    def test_unseeded_random_flagged(self):
-        src = "import random\n\ndef pick(xs):\n    return random.choice(xs)\n"
-        assert codes(lint_source(src, self.SCOPED)) == {"RL002"}
-
-    def test_seeded_generator_ok(self):
-        src = (
-            "import numpy as np\n\n"
-            "def pick(xs, seed):\n"
-            "    rng = np.random.default_rng(seed)\n"
-            "    return rng.choice(xs)\n"
-        )
-        assert lint_source(src, self.SCOPED) == []
-
-    def test_wall_clock_flagged(self):
-        src = "import time\n\ndef now():\n    return time.time()\n"
-        assert codes(lint_source(src, self.SCOPED)) == {"RL002"}
-
-    def test_set_iteration_flagged(self):
-        src = (
-            "def order(jobs):\n"
-            "    ids = {j.id for j in jobs}\n"
-            "    for i in ids:\n"
-            "        yield i\n"
-        )
-        assert codes(lint_source(src, self.SCOPED)) == {"RL002"}
-
-    def test_sorted_set_iteration_ok(self):
-        src = (
-            "def order(jobs):\n"
-            "    ids = {j.id for j in jobs}\n"
-            "    for i in sorted(ids):\n"
-            "        yield i\n"
-        )
-        assert lint_source(src, self.SCOPED) == []
-
-    def test_out_of_scope_path_ignored(self):
-        src = "import random\n\ndef pick(xs):\n    return random.choice(xs)\n"
-        assert lint_source(src, "src/repro/workloads/x.py") == []
 
 
 # ---------------------------------------------------------------------------
@@ -250,155 +100,7 @@ class TestRL003:
         assert lint_source(src, self.SCOPED) == []
 
 
-# ---------------------------------------------------------------------------
-# RL004 / RL005 — scheduler state-mutation and reset contract
-# ---------------------------------------------------------------------------
-
-
-class TestRL004:
-    def test_job_attribute_assignment_flagged(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class Mutator(OnlineScheduler):
-                def on_arrival(self, ctx, job):
-                    job.deadline = job.deadline + 1
-            """
-        )
-        assert codes(lint_source(src, "x.py")) == {"RL004"}
-
-    def test_own_state_assignment_ok(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class Stateful(OnlineScheduler):
-                def on_arrival(self, ctx, job):
-                    self.last_seen = job.id
-            """
-        )
-        assert lint_source(src, "x.py") == []
-
-
-class TestRL005:
-    def test_reset_without_super_flagged(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class Forgetful(OnlineScheduler):
-                def reset(self):
-                    self.items = []
-            """
-        )
-        findings = lint_source(src, "x.py")
-        assert codes(findings) == {"RL005"}
-        assert "super().reset()" in findings[0].message
-
-    def test_reset_with_super_ok(self):
-        src = textwrap.dedent(
-            """
-            from repro.schedulers.base import OnlineScheduler
-
-            class Careful(OnlineScheduler):
-                def reset(self):
-                    super().reset()
-                    self.items = []
-            """
-        )
-        assert lint_source(src, "x.py") == []
-
-
 HOT = "src/repro/core/engine.py"
-
-
-class TestRL011:
-    def test_print_in_core_flagged(self):
-        src = "def dispatch(ev):\n    print(ev)\n"
-        assert codes(lint_source(src, HOT)) == {"RL011"}
-
-    def test_print_in_schedulers_flagged(self):
-        src = "def on_deadline(self, ctx, job):\n    print(job.id)\n"
-        findings = lint_source(src, "src/repro/schedulers/batch.py")
-        assert "RL011" in codes(findings)
-
-    def test_module_logging_call_flagged(self):
-        src = textwrap.dedent(
-            """
-            import logging
-
-            def dispatch(ev):
-                logging.info("event %s", ev)
-            """
-        )
-        assert codes(lint_source(src, HOT)) == {"RL011"}
-
-    def test_chained_get_logger_flagged(self):
-        src = textwrap.dedent(
-            """
-            import logging
-
-            def dispatch(ev):
-                logging.getLogger(__name__).debug("event %s", ev)
-            """
-        )
-        assert codes(lint_source(src, HOT)) == {"RL011"}
-
-    def test_bound_logger_flagged(self):
-        src = textwrap.dedent(
-            """
-            import logging
-
-            log = logging.getLogger(__name__)
-
-            def dispatch(ev):
-                log.warning("event %s", ev)
-            """
-        )
-        assert codes(lint_source(src, HOT)) == {"RL011"}
-
-    def test_stdio_writes_flagged(self):
-        src = textwrap.dedent(
-            """
-            import sys
-
-            def dispatch(ev):
-                sys.stdout.write(str(ev))
-                sys.stderr.write(str(ev))
-            """
-        )
-        findings = [f for f in lint_source(src, HOT) if f.rule == "RL011"]
-        assert len(findings) == 2
-        assert {f.symbol for f in findings} == {"sys.stdout", "sys.stderr"}
-
-    def test_non_hot_path_ignored(self):
-        src = "def render(report):\n    print(report)\n"
-        assert lint_source(src, "src/repro/workloads/profiles.py") == []
-        assert lint_source(src, "src/repro/cli.py") == []
-
-    def test_recorder_usage_clean(self):
-        src = textwrap.dedent(
-            """
-            def on_deadline(self, ctx, job):
-                if self.obs.enabled:
-                    self.obs.decision(
-                        "deadline-flag", job=job.id, t=ctx.now,
-                        scheduler=self._obs_scheduler,
-                    )
-                ctx.start(job.id)
-            """
-        )
-        assert lint_source(src, "src/repro/schedulers/batch.py") == []
-
-    def test_inline_ignore_suppresses(self):
-        src = "def dispatch(ev):\n    print(ev)  # lint: ignore[RL011]\n"
-        assert lint_source(src, HOT) == []
-
-    def test_windows_separators_normalized(self):
-        src = "def dispatch(ev):\n    print(ev)\n"
-        findings = lint_source(src, "src\\repro\\core\\engine.py")
-        assert codes(findings) == {"RL011"}
 
 
 class TestRL012:
@@ -508,7 +210,7 @@ class TestRL012:
 
 
 class TestLiveTelemetryScope:
-    """RL011/RL012 cover the live telemetry plane (repro/obs/live.py).
+    """RL012 covers the live telemetry plane (repro/obs/live.py).
 
     The per-record ``_handle_*`` feed runs on every armed serve
     session's collect loop, so it is policed exactly like the engine
@@ -520,12 +222,13 @@ class TestLiveTelemetryScope:
     BAD_FIXTURE = FIXTURES / "live_feed_leaky.py"
     CLEAN_FIXTURE = FIXTURES / "live_feed_clean.py"
 
-    def test_leaky_fixture_flagged_by_both_rules(self):
+    def test_leaky_fixture_flagged(self):
         findings = lint_source(self.BAD_FIXTURE.read_text(), self.LIVE)
-        assert codes(findings) == {"RL011", "RL012"}
-        rl012 = [f for f in findings if f.rule == "RL012"]
         # one Job(...) ctor, one attribute-gather comprehension
-        assert {f.symbol for f in rl012} == {"Job", "_handle_start"}
+        assert [(f.rule, f.line, f.symbol) for f in findings] == [
+            ("RL012", 16, "Job"),
+            ("RL012", 26, "_handle_start"),
+        ]
 
     def test_leaky_fixture_non_hot_section_passes(self):
         """render_snapshot allocates per row but runs per scrape."""
@@ -536,7 +239,7 @@ class TestLiveTelemetryScope:
         assert lint_source(self.CLEAN_FIXTURE.read_text(), self.LIVE) == []
 
     def test_other_obs_files_not_policed(self):
-        src = "def _handle_release(self, attrs):\n    print(attrs)\n"
+        src = "def _handle_release(self, attrs):\n    return Job(id=attrs)\n"
         assert lint_source(src, "src/repro/obs/top.py") == []
         assert lint_source(src, "src/repro/obs/cli.py") == []
 
@@ -547,60 +250,43 @@ class TestLiveTelemetryScope:
 
 
 # ---------------------------------------------------------------------------
-# Suppressions, baseline, runner
+# Suppressions, runner
 # ---------------------------------------------------------------------------
 
 
-#: A one-finding module: RL005, a scheduler ``reset()`` without
-#: ``super().reset()`` (line 5), on any path.
-FORGETFUL_SRC = (
-    "from repro.schedulers.base import OnlineScheduler\n\n\n"
-    "class Forgetful(OnlineScheduler):\n"
-    "    def reset(self):{comment}\n"
-    "        self.items = []\n"
-)
+#: A one-finding module: RL003, an exact float comparison (line 2) in
+#: certification code.
+FLOAT_EQ_SRC = "def check(a: float, b: float) -> bool:\n    return a == b{comment}\n"
+CERTIFY = "src/repro/offline/x.py"
 
 
-def forgetful(comment: str = "") -> str:
-    return FORGETFUL_SRC.format(comment=comment)
+def float_eq(comment: str = "") -> str:
+    return FLOAT_EQ_SRC.format(comment=comment)
 
 
 class TestSuppression:
     def test_inline_ignore(self):
-        src = forgetful("  # lint: ignore[RL005]")
-        assert lint_source(src, "x.py") == []
+        src = float_eq("  # lint: ignore[RL003]")
+        assert lint_source(src, CERTIFY) == []
 
     def test_noqa_spelling(self):
-        src = forgetful("  # noqa: RL005")
-        assert lint_source(src, "x.py") == []
+        src = float_eq("  # noqa: RL003")
+        assert lint_source(src, CERTIFY) == []
 
     def test_wrong_code_does_not_suppress(self):
-        src = forgetful("  # lint: ignore[RL001]")
-        assert codes(lint_source(src, "x.py")) == {"RL005"}
+        src = float_eq("  # lint: ignore[RL012]")
+        assert codes(lint_source(src, CERTIFY)) == {"RL003"}
 
 
-class TestBaseline:
-    def test_round_trip_and_filter(self, tmp_path):
-        findings = lint_source(forgetful(), "x.py")
-        assert findings
-        base = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        write_baseline(base, path)
-        loaded = load_baseline(path)
-        fresh, absorbed = loaded.filter(findings)
-        assert fresh == [] and absorbed == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        base = load_baseline(tmp_path / "nope.json")
-        findings = lint_source(forgetful(), "x.py")
-        fresh, absorbed = base.filter(findings)
-        assert len(fresh) == 1 and absorbed == 0
-
-    def test_bad_version_rejected(self, tmp_path):
-        p = tmp_path / "baseline.json"
-        p.write_text(json.dumps({"version": 99, "findings": {}}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(p)
+def _plant_package(root: Path) -> Path:
+    """``root/repro/offline/planted.py`` with one RL003 finding (line 2)."""
+    offline = root / "repro" / "offline"
+    offline.mkdir(parents=True)
+    (root / "repro" / "__init__.py").write_text("")
+    (offline / "__init__.py").write_text("")
+    planted = offline / "planted.py"
+    planted.write_text(float_eq())
+    return planted
 
 
 class TestRunner:
@@ -611,16 +297,23 @@ class TestRunner:
         assert not report.clean
         assert codes(report.findings) == {"RL000"}
 
-    def test_shipped_package_is_clean(self):
-        report = lint_paths([default_target()])
-        assert report.clean, report.render()
+    def test_shipped_package_is_clean(self, shipped_lint_report):
+        assert shipped_lint_report.clean, shipped_lint_report.render()
 
-    def test_json_rendering(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(forgetful())
-        report = lint_paths([f])
-        data = json.loads(report.render_json())
-        assert data["findings"][0]["rule"] == "RL005"
+    def test_json_rendering(self):
+        data = json.loads(lint_paths([LEAKY]).render_json())
+        assert [(f["rule"], f["line"]) for f in data["findings"]] == [("RL007", 32)]
+
+    def test_path_scoped_rules_apply_to_any_target(self, tmp_path):
+        # Scope follows the path from the package root, so the tree, the
+        # subpackage and the file itself all get the same finding.
+        planted = _plant_package(tmp_path)
+        for target in (tmp_path, planted.parent, planted):
+            hits = [
+                (f.rule, Path(f.path).name, f.line)
+                for f in lint_paths([target]).findings
+            ]
+            assert hits == [("RL003", "planted.py", 2)], target
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +335,12 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
 
 class TestCLI:
     def test_exits_nonzero_on_leaky_fixture(self):
-        proc = _run_cli(str(LEAKY), "--no-baseline")
+        proc = _run_cli(str(LEAKY))
         assert proc.returncode == 1
-        assert "RL001" in proc.stdout
+        assert "RL007" in proc.stdout
 
     def test_exits_zero_on_clean_fixture(self):
-        proc = _run_cli(str(CLEAN), "--no-baseline")
+        proc = _run_cli(str(CLEAN))
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_exits_zero_on_shipped_suite(self):
@@ -655,15 +348,15 @@ class TestCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_select_restricts_rules(self):
-        # The leaky fixture only violates RL001; selecting RL005 passes it.
-        proc = _run_cli(str(LEAKY), "--no-baseline", "--select", "RL005")
+        # The leaky fixture only violates RL007; selecting RL003 passes it.
+        proc = _run_cli(str(LEAKY), "--select", "RL003")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_list_rules(self):
         proc = _run_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
-            assert code in proc.stdout
+        listed = {line.split()[0] for line in proc.stdout.splitlines() if line}
+        assert listed == KEPT_RULES
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +372,7 @@ def two_jobs() -> Instance:
 class TestStaticDynamicAgreement:
     def test_leaky_flagged_statically(self):
         report = lint_paths([LEAKY])
-        assert "RL001" in codes(report.findings)
+        assert "RL007" in codes(report.findings)
 
     def test_leaky_trips_runtime_guard(self, two_jobs):
         sched = _load_fixture_class(LEAKY, "LeakyScheduler")()
@@ -735,26 +428,8 @@ class TestStaticDynamicAgreement:
 
 
 class TestServeHotPathScope:
-    """``repro/serve`` is inside the RL011/RL012 hot-path scope: the
-    daemon speaks JSONL on sockets, so stray prints corrupt the protocol
-    stream and per-op allocation churn sits on the serving hot loop."""
-
-    def test_print_in_serve_daemon_flagged(self):
-        src = "def _route(self, op, conn):\n    print(op)\n"
-        assert "RL011" in codes(lint_source(src, "src/repro/serve/daemon.py"))
-
-    def test_logging_in_serve_session_flagged(self):
-        src = textwrap.dedent(
-            """
-            import logging
-
-            def dispatch(ev):
-                logging.info("op %s", ev)
-            """
-        )
-        assert codes(lint_source(src, "src/repro/serve/session.py")) == {
-            "RL011"
-        }
+    """``repro/serve`` is inside the RL012 hot-path scope: per-op
+    allocation churn sits on the serving hot loop."""
 
     def test_job_ctor_in_serve_handler_flagged(self):
         src = textwrap.dedent(

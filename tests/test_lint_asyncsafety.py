@@ -4,8 +4,7 @@ Covers the five program rules on their fixture packages (offending and
 clean, one package per rule), the coroutine-reachability and blocking
 models' non-vacuity on the real serving layer, the shipped tree's
 finding-free verdict, ruleset-digest coverage (adding/removing the
-async rules invalidates the cache), ``--jobs`` bit-identity with the
-new rules active, and the ``--explain`` CLI.  The runtime half of the
+async rules invalidates the cache), and the ``--explain`` CLI.  The runtime half of the
 cross-validation contract — the same fixture packages driven under the
 ``REPRO_LOOPWATCH`` instrumented loop — lives in
 ``tests/test_serve_loopwatch.py``.
@@ -19,13 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import (
-    ALL_RULES,
-    Program,
-    default_target,
-    lint_paths,
-    rule_by_code,
-)
+from repro.lint import ALL_RULES, Program, lint_paths, rule_by_code
 from repro.lint.asyncsafety import AsyncModel
 from repro.lint.dataflow import extract_summary, module_name_for
 from repro.lint.dataflow.cache import ruleset_digest
@@ -41,10 +34,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 ASYNC_CODES = {"RL017", "RL018", "RL019", "RL020", "RL021"}
 
 
-def codes(findings) -> set[str]:
-    return {f.rule for f in findings}
-
-
 def by_rule(findings, code: str):
     return [f for f in findings if f.rule == code]
 
@@ -57,9 +46,7 @@ def _program_for(*files: Path) -> Program:
     summaries = []
     for f in files:
         src = f.read_text()
-        summaries.append(
-            extract_summary(str(f), src, ast.parse(src), module_name_for(f), None)
-        )
+        summaries.append(extract_summary(str(f), ast.parse(src), module_name_for(f)))
     return Program(summaries)
 
 
@@ -194,11 +181,10 @@ class TestQueueJoinRule:
 
 
 class TestShippedTree:
-    def test_shipped_tree_is_finding_free(self):
-        report = lint_paths([default_target()])
-        offenders = async_findings(report)
+    def test_shipped_tree_is_finding_free(self, shipped_lint_report):
+        offenders = async_findings(shipped_lint_report)
         assert offenders == [], [f.render() for f in offenders]
-        assert report.files_scanned > 50
+        assert shipped_lint_report.files_scanned > 50
 
     def test_daemon_coroutines_are_modelled(self):
         # Non-vacuity: the clean verdict above is a real comparison.
@@ -222,7 +208,7 @@ class TestShippedTree:
 
 
 # ---------------------------------------------------------------------------
-# Cache digest, --jobs bit-identity, --explain
+# Cache digest, --explain
 # ---------------------------------------------------------------------------
 
 
@@ -237,13 +223,6 @@ class TestIntegration:
             assert rule is not None
             doc = type(rule).__doc__ or ""
             assert "Offending::" in doc and "Clean::" in doc
-
-    def test_parallel_report_identical_to_serial(self):
-        serial = lint_paths([FIXTURES])
-        parallel = lint_paths([FIXTURES], jobs=2)
-        assert serial.render_json() == parallel.render_json()
-        # The comparison exercises the new rules, not an empty report.
-        assert ASYNC_CODES <= codes(serial.findings)
 
     def test_explain_cli_covers_async_rules(self):
         proc = _run_cli("--explain", "RL017")

@@ -9,6 +9,7 @@ process pool engaged or the runner degraded to serial.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -155,6 +156,33 @@ class TestMonteCarloEquivalence:
             lambda s: RandomStart(seed=s), inst, ref, trials=6, workers=3
         )
         assert serial.ratios == parallel.ratios
+
+
+def _module_state() -> dict[tuple[str, str], str]:
+    """Reprs of the mutable containers every ``repro`` module holds."""
+    return {
+        (mod_name, name): repr(value)
+        for mod_name, mod in list(sys.modules.items())
+        if mod_name.startswith("repro") and mod is not None
+        for name, value in list(vars(mod).items())
+        if isinstance(value, (dict, list, set))
+    }
+
+
+class TestPoolWorkIsPure:
+    def test_pool_work_leaves_module_globals_alone(self):
+        # A worker's write to module state (a memo, a counter) never
+        # reaches the parent or the next worker, so pooled results of such
+        # work drift from serial ones.  Warm up first: imports and
+        # first-use caches may fill module containers once.
+        protos = [Eager(), Batch(), BatchPlus(), Profit()]
+        family = _family(4)
+        run_grid(protos, family[:2], span_lower_bound, workers=1)
+        estimate_expected_ratio(RandomStart, family[0], 1.0, trials=2, workers=1)
+        before = _module_state()
+        run_grid(protos, family[2:], span_lower_bound, workers=1)
+        estimate_expected_ratio(RandomStart, family[3], 1.0, trials=2, workers=1)
+        assert _module_state() == before
 
 
 def _record_and_maybe_boom(task):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Instance, simulate
+from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.schedulers import (
     Doubler,
     Eager,
@@ -135,3 +136,21 @@ class TestRegistry:
         for name in scheduler_names():
             desc = make_scheduler(name).describe()
             assert isinstance(desc, str) and desc
+
+    @pytest.mark.parametrize("name", scheduler_names())
+    def test_reset_and_clone_drop_run_state(self, name):
+        # ``reset()`` must reach the base class (``super().reset()``):
+        # a run's flag jobs and its armed recorder must not survive into
+        # the next run of the same object or of a clone.
+        sched = make_scheduler(name)
+        inst = poisson_instance(30, seed=5)
+        clairvoyant = type(sched).requires_clairvoyance
+        simulate(sched, inst, clairvoyant=clairvoyant, recorder=TraceRecorder())
+        assert sched.obs is not NULL_RECORDER
+        clone = sched.clone()
+        assert clone.flag_job_ids == []
+        assert clone.flag_job_ids is not sched.flag_job_ids
+        assert clone.obs is NULL_RECORDER
+        sched.reset()
+        assert sched.flag_job_ids == []
+        assert sched.obs is NULL_RECORDER

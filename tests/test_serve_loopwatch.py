@@ -1,7 +1,7 @@
 """Tests for the ``REPRO_LOOPWATCH`` instrumented event loop.
 
 The loopwatch is the runtime twin of lint rules RL017/RL018 (in the
-mold of ``REPRO_STRICT`` ⇄ RL001): this
+mold of ``REPRO_STRICT`` ⇄ RL007): this
 suite covers the knobs, the stall/orphan instrumentation itself, and —
 the heart of the contract — the **both-directions cross-validation**
 on the shared ``tests/data/lint_fixtures/async_*_pkg`` packages: every

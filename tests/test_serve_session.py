@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -12,8 +13,9 @@ from repro.cli import main
 from repro.core.engine import simulate
 from repro.core.errors import SimulationError
 from repro.core.job import Instance
+from repro.obs import TenantTelemetry, TraceRecorder
 from repro.obs.records import DECISION_RULES
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import make_scheduler, scheduler_names
 from repro.serve.protocol import ProtocolError
 from repro.serve.session import TenantSession
 
@@ -105,6 +107,32 @@ class TestSessionBasics:
         session = TenantSession("t1")
         outs = drive(session, [(0, 2, 1)])
         assert session.emitted == len(outs)
+
+
+class TestQuietHotPath:
+    """Engine runs, schedulers, served sessions and their live telemetry
+    write nothing to stdout, stderr or ``logging``: a stray line would
+    interleave with the stdio protocol stream, and per-event output
+    belongs in the recorder."""
+
+    JOBS = [(0, 2, 1), (0, 4, 3), (1, 3, 2), (2, 9, 1), (5, 6, 4), (5, 5, 2)]
+
+    @pytest.mark.parametrize("name", scheduler_names())
+    def test_runs_and_sessions_write_no_output(self, name, capfd, caplog):
+        caplog.set_level(logging.DEBUG)
+        inst = Instance.from_triples([(a, d - a, p) for a, d, p in self.JOBS])
+        clairvoyant = make_scheduler(name).requires_clairvoyance
+        simulate(make_scheduler(name), inst, clairvoyant=clairvoyant)
+        simulate(
+            make_scheduler(name), inst, clairvoyant=clairvoyant,
+            recorder=TraceRecorder(),
+        )
+        session = TenantSession(
+            "quiet", scheduler=name, telemetry=TenantTelemetry("quiet"), trace=True
+        )
+        assert drive(session, self.JOBS)
+        assert capfd.readouterr() == ("", "")
+        assert caplog.records == []
 
 
 class TestSessionFailureContainment:
