@@ -44,7 +44,9 @@ serve/stdio_two_tenants
     Two interleaved tenant streams of JSONL ops pushed synchronously
     through the serving layer's protocol + session path (``parse_op`` →
     ``TenantSession.apply``) — the per-op cost of ``repro serve
-    --stdio`` minus the event loop, counted in output records/s.
+    --stdio`` minus the event loop, counted in output records/s
+    (10 000 jobs per tenant, at least ~0.3 s per repeat; 500 under
+    ``--quick``).
 serve/telemetry_armed
     The same two-tenant serve workload with the live telemetry plane
     armed (per-tenant span/ratio aggregation riding the record feed,
@@ -312,12 +314,12 @@ def bench_cases(quick: bool) -> list[tuple[str, Callable[[], int]]]:
         ("macro/e5_cdb_alpha2", lambda: _bench_e5_cdb(5_000, 11)),
         (
             "serve/stdio_two_tenants",
-            lambda: _bench_serve_two_tenants(2_500),
+            lambda: _bench_serve_two_tenants(10_000),
         ),
         (
             "serve/telemetry_armed",
             lambda: _bench_serve_two_tenants(
-                2_500, telemetry=True, snapshot_every=250
+                10_000, telemetry=True, snapshot_every=250
             ),
         ),
     ]
