@@ -15,6 +15,7 @@ event ordering is what the paper's §3.1/§4.1 constructions hinge on.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable
 
@@ -112,7 +113,11 @@ def test_pending_running_indexes_match_schedule():
 # event count, the resolved jobs and — for armed runs — every obs record
 # (minus the wall-clock ``wall_s``) with the final counters and gauges.
 # The engine must reproduce each line exactly.  A deliberate semantic
-# change recaptures the file and says so in the change description.
+# change recaptures the file, on purpose only, with
+#
+#     PYTHONPATH=src python tests/test_engine_golden.py
+#
+# and says which fields moved, and why, in the change description.
 
 ORACLE_PATH = Path(__file__).parent / "data" / "engine_oracle.jsonl"
 
@@ -142,9 +147,22 @@ def _run(name: str, instance: Instance, **kwargs):
     )
 
 
+def integral_instance(n: int = 60) -> Instance:
+    """Integral times: arrivals, deadlines and completions share instants,
+    so same-time cohorts of every gatherable kind form."""
+    return Instance.from_triples(
+        [(i // 4, i % 3, 1 + i % 2) for i in range(n)], name="integral"
+    )
+
+
 def _armed(name: str, instance: Instance):
     rec = TraceRecorder()
     return _run(name, instance, recorder=rec), rec
+
+
+def _armed_adversarial(name: str, adversary):
+    rec = TraceRecorder()
+    return _adversarial(name, adversary, recorder=rec), rec
 
 
 def _adversarial(name: str, adversary, *, clairvoyant: bool = False, **kwargs):
@@ -216,6 +234,23 @@ def _oracle_cases() -> dict[str, tuple[Callable[[], Any], dict[str, str]]]:
     )
     for name in PAPER:
         add(f"armed/{name}", lambda n=name: _armed(n, e2_style_instance()))
+        add(
+            f"armed-tightness/{name}",
+            lambda n=name: _armed(
+                n, batch_tightness_instance(m=8, mu=5.0).instance
+            ),
+        )
+        add(
+            f"armed-integral/{name}",
+            lambda n=name: _armed(n, integral_instance()),
+        )
+    for name in ("batch", "batch+"):
+        add(
+            f"armed-e1/{name}",
+            lambda n=name: _armed_adversarial(
+                n, NonClairvoyantLowerBoundAdversary(5.0, geometric_profile(2, 6))
+            ),
+        )
     for name in NONCLAIRVOYANT:
         add(
             f"strict/{name}",
@@ -305,3 +340,19 @@ def test_engine_matches_recorded_oracle(case_id, monkeypatch):
         monkeypatch.setenv(key, value)
     expected = _load_oracle()[case_id]
     assert observe(build()) == expected
+
+
+def _write_oracle() -> None:
+    os.environ.pop("REPRO_STRICT", None)
+    with ORACLE_PATH.open("w") as fh:
+        for case_id in sorted(ORACLE_CASES):
+            build, env = ORACLE_CASES[case_id]
+            os.environ.update(env)
+            row = {"case": case_id, **observe(build())}
+            for key in env:
+                del os.environ[key]
+            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+if __name__ == "__main__":
+    _write_oracle()
