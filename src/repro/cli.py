@@ -19,8 +19,8 @@ Subcommands
 ``lint``      — domain-aware static analysis (clairvoyance contract,
                 determinism, float hygiene; see ``repro.lint``).
 ``obs``       — observability tooling: summarize/explain/diff/export
-                JSONL traces, NullRecorder overhead ratchet (see
-                ``repro.obs``).
+                JSONL traces, and a live dashboard over a serving
+                daemon (see ``repro.obs``).
 ``serve``     — streaming scheduling daemon: JSONL job streams in
                 (stdio, Unix, or TCP socket), start-decision records
                 out; multi-tenant, backpressured, checkpoint/restore
@@ -60,7 +60,7 @@ from .analysis import (
     profit_ratio,
     render_gantt,
 )
-from .core import SimulationError, load_instance, save_instance, simulate
+from .core import SimulationError, Trace, load_instance, save_instance, simulate
 from .core.metrics import reference_ratio
 from .offline import exact_optimal_span, span_lower_bound
 from .schedulers import make_scheduler, scheduler_names
@@ -219,12 +219,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         inst = generate(spec, seed=args.seed)
     sched = make_scheduler(args.scheduler)
+    from .obs import TraceRecorder, get_recorder, trace_dir
+
+    # The core trace wraps the ambient recorder, so REPRO_TRACE=1 still
+    # gets its JSONL records alongside the printed trace.
+    recorder = get_recorder()
+    trace = Trace(recorder) if args.trace else None
     try:
         result = simulate(
             sched,
             inst,
             clairvoyant=type(sched).requires_clairvoyance,
-            trace=args.trace,
+            recorder=trace,
         )
     except SimulationError as exc:
         # e.g. the event budget tripped by a live-locking scheduler
@@ -245,14 +251,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.gantt:
         print()
         print(render_gantt(result.schedule))
-    if args.trace and result.trace is not None:
+    if trace is not None:
         print()
-        print(result.trace.render())
-    recorder = result.recorder
-    if recorder is not None and hasattr(recorder, "write_jsonl"):
+        print(trace.render())
+    if isinstance(recorder, TraceRecorder):
         from pathlib import Path
-
-        from .obs import trace_dir
 
         out = Path(trace_dir()) / f"{args.scheduler}.trace.jsonl"
         written = recorder.write_jsonl(

@@ -46,16 +46,21 @@ cost.  This module uses a columnar layout instead:
     * ``COMPLETION`` — always (lengths are > 0, so no handler can create
       another completion at the same instant);
     * ``DEADLINE``/``TIMER``/``ADVERSARY`` — never (their handlers may
-      start jobs or mutate arbitrary state per event);
-    * and never while a recorder is armed.  Gathering changes heap
-      push/pop mechanics, which the armed loop surfaces (per-kind event
-      counters, ``heap.pushes``, ``heap.peak``), so armed runs dispatch
-      every event singly and their obs output stays fixed.
+      start jobs or mutate arbitrary state per event).
+
+Armed runs gather too.  The engine reports events through its one
+recorder (``recorder=``, :class:`~repro.obs.recorder.Recorder`): one
+call per event kind per cohort, with the cohort's job ids in dispatch
+order (a scalar site passes a 1-tuple), and a cohort adds its size to
+the per-kind ``engine.events.*`` counter.  The core trace is such a
+recorder (:class:`~repro.core.trace.Trace`).
 
 Gathered and single dispatch are observably identical: the same traces,
 schedules, exceptions (type, message, and which job raises first) and
-obs records.  ``tests/data/engine_oracle.jsonl`` pins that output; the
-rules that make it hold are spelled out at each site below.
+obs records, apart from the heap mechanics an armed run counts
+(``engine.heap.pushes``: same-time completions an assign cohort consumes
+inline are never pushed).  ``tests/data/engine_oracle.jsonl`` pins that
+output; the rules that make it hold are spelled out at each site below.
 
 A streaming run may also *fold* (:meth:`ColumnarCore.fold`): at an idle
 instant it drops its completed rows and renumbers the rest, keeping of
@@ -83,7 +88,6 @@ from .intervals import covered_lengths, union_measure
 from .intervalset import MutableIntervalSet
 from .job import Instance, Job
 from .schedule import Schedule
-from .trace import Trace, TraceKind
 
 from .engine import (
     MAX_EVENTS_DEFAULT,
@@ -139,9 +143,6 @@ _OBS_EVENT_COUNTERS = (
     "engine.events.timer",       # 4
     "engine.events.adversary",   # 5
 )
-
-#: The gatherable-kind mask while a recorder is armed: no cohorts.
-_NO_COHORTS = (False,) * 6
 
 #: The largest job id the int64 ``ids`` column holds.
 _MAX_ID = int(np.iinfo(np.int64).max)
@@ -552,7 +553,6 @@ class ColumnarCore:
         "_adversary",
         "_clairvoyant",
         "_max_events",
-        "_trace",
         "_obs",
         "_guard",
         "_queue",
@@ -587,7 +587,6 @@ class ColumnarCore:
         adversary: "Adversary | None" = None,
         clairvoyant: bool = False,
         max_events: int = MAX_EVENTS_DEFAULT,
-        trace: bool = False,
         strict: bool | None = None,
         recorder: "Recorder | None" = None,
     ) -> None:
@@ -619,7 +618,6 @@ class ColumnarCore:
         ):
             self._guard = ClairvoyanceGuard(self, self._scheduler_name)
 
-        self._trace: Trace | None = Trace() if trace else None
         self._queue = EventQueue()
         self._table = JobTable()
         self._views: list[JobView | None] = []
@@ -859,15 +857,13 @@ class ColumnarCore:
         ``<= until`` (``< until`` when not ``inclusive``) dispatch.
         Locals are hoisted and events popped as raw tuples: at >10^5
         events per adversarial run, attribute lookups dominate otherwise.
-        Disarmed, the loop gathers cohorts; armed, it dispatches every
-        event singly and keeps per-kind counters (plus, in a batch run,
-        the heap high-water mark; ``python -m repro obs overhead``
-        ratchets the cost of the ``obs`` tests).
+        Armed, the loop also keeps per-kind counters (a cohort adds its
+        size) and, in a batch run, the heap high-water mark.
         """
         heap = self._queue._heap
         obs = self._obs
         handlers = self._handlers
-        gatherable = self._gatherable if obs is None else _NO_COHORTS
+        gatherable = self._gatherable
         max_events = self._max_events
         if until is None:
             horizon = math.inf
@@ -913,13 +909,22 @@ class ColumnarCore:
                     processed += len(cohort) - 1
                     if processed > max_events:
                         raise self._budget_error()
+                    if obs is not None:
+                        obs.counter_add(
+                            _OBS_EVENT_COUNTERS[kind], float(len(cohort))
+                        )
                     if kind == _ARRIVAL:
                         self._cohort_arrival(cohort)
                     elif kind == _COMPLETION:
                         self._cohort_completion(cohort)
                     else:  # _ASSIGN
                         # Inline same-time completions count as events.
-                        processed += self._cohort_assign(cohort)
+                        consumed = self._cohort_assign(cohort)
+                        processed += consumed
+                        if obs is not None and consumed:
+                            obs.counter_add(
+                                "engine.events.completion", float(consumed)
+                            )
                         if processed > max_events:
                             raise self._budget_error()
                     continue
@@ -1041,33 +1046,13 @@ class ColumnarCore:
             )
 
     def _record_release(self, job: Job, idx: int) -> None:
-        """Map the job's id to its row; emit its RELEASE trace and obs record."""
-        jid = job.id
-        self._table.idx_of[jid] = idx
-        now = self._now
-        if self._trace is not None:
-            self._trace.append(
-                now, TraceKind.RELEASE, jid, f"arrival={job.arrival:g}"
+        """Map the job's id to its row and report its release."""
+        self._table.idx_of[job.id] = idx
+        if self._obs is not None:
+            self._obs.released(
+                self._now, (job.id,), (job.arrival,), (job.deadline,),
+                (job.length,),
             )
-        obs = self._obs
-        if obs is not None:
-            if job.length is not None:
-                obs.instant(
-                    "engine.release",
-                    t=now,
-                    job=jid,
-                    arrival=job.arrival,
-                    deadline=job.deadline,
-                    length=job.length,
-                )
-            else:
-                obs.instant(
-                    "engine.release",
-                    t=now,
-                    job=jid,
-                    arrival=job.arrival,
-                    deadline=job.deadline,
-                )
 
     def _admit_batch_cols(self, batch: JobBatch) -> None:
         """Admit a columnar :class:`JobBatch` (vectorised checks)."""
@@ -1153,40 +1138,14 @@ class ColumnarCore:
             idx_of[jid] = base + pos
         table.append_columns(batch, self._clairvoyant)
         self._views.extend([None] * k)
-        trace = self._trace
-        obs = self._obs
-        if trace is not None or obs is not None:
-            arrival_l = table.arrival_list
-            deadline_l = table.deadline_list
-            plen_l = table.plen_list
-            for pos, jid in enumerate(ids_l):
-                row = base + pos
-                if trace is not None:
-                    trace.append(
-                        now,
-                        TraceKind.RELEASE,
-                        jid,
-                        f"arrival={arrival_l[row]:g}",
-                    )
-                if obs is not None:
-                    known = plen_l[row]
-                    if known is not None:
-                        obs.instant(
-                            "engine.release",
-                            t=now,
-                            job=jid,
-                            arrival=arrival_l[row],
-                            deadline=deadline_l[row],
-                            length=known,
-                        )
-                    else:
-                        obs.instant(
-                            "engine.release",
-                            t=now,
-                            job=jid,
-                            arrival=arrival_l[row],
-                            deadline=deadline_l[row],
-                        )
+        if self._obs is not None:
+            self._obs.released(
+                now,
+                ids_l,
+                table.arrival_list[base:],
+                table.deadline_list[base:],
+                table.plen_list[base:],
+            )
         self._push_arrivals(base, k)
 
     def _push_arrivals(self, base: int, k: int) -> None:
@@ -1209,10 +1168,8 @@ class ColumnarCore:
         table = self._table
         table.state[idx] = _PENDING
         self._pending[idx] = None
-        if self._trace is not None:
-            self._trace.append(
-                self._now, TraceKind.ARRIVAL, table.ids_list[idx], ""
-            )
+        if self._obs is not None:
+            self._obs.arrived(self._now, (table.ids_list[idx],))
         self._queue.push(table.deadline_list[idx], _DEADLINE, idx)
         if self._hook_arrival is not None:
             self._hook_arrival(self._ctx, self._view(idx))
@@ -1221,10 +1178,8 @@ class ColumnarCore:
         table = self._table
         if idx == _FOLDED or table.start_list[idx] is not None:
             return  # job already started; the deadline event is moot
-        if self._trace is not None:
-            self._trace.append(
-                self._now, TraceKind.DEADLINE, table.ids_list[idx], ""
-            )
+        if self._obs is not None:
+            self._obs.deadline_reached(self._now, (table.ids_list[idx],))
         if self._hook_deadline is not None:
             self._hook_deadline(self._ctx, self._view(idx))
         if table.start_list[idx] is None:
@@ -1241,15 +1196,8 @@ class ColumnarCore:
             raise SimulationError(f"job {jid} completed twice")
         table.state[idx] = _DONE
         table.visible[idx] = True  # completion reveals the length
-        if self._trace is not None:
-            self._trace.append(self._now, TraceKind.COMPLETION, jid, "")
         if self._obs is not None:
-            self._obs.instant(
-                "engine.completion",
-                t=self._now,
-                job=jid,
-                length=table.plen_list[idx],
-            )
+            self._obs.completed(self._now, (jid,), (table.plen_list[idx],))
         if self._hook_completion is not None:
             self._hook_completion(self._ctx, self._view(idx))
         if self._adversary is not None:
@@ -1285,23 +1233,21 @@ class ColumnarCore:
             )
         table.plen[idx] = length
         table.plen_list[idx] = length
-        if self._trace is not None:
-            self._trace.append(
-                self._now, TraceKind.ASSIGN, jid, f"length={length:g}"
-            )
+        if self._obs is not None:
+            self._obs.assigned(self._now, (jid,), (length,))
         return completion
 
     def _handle_timer(self, tag: Any) -> None:
-        if self._trace is not None:
-            self._trace.append(self._now, TraceKind.TIMER, None, repr(tag))
+        if self._obs is not None:
+            self._obs.timer_fired(self._now, tag)
         if self._hook_timer is not None:
             self._hook_timer(self._ctx, tag)
 
     def _handle_adversary(self, _payload: Any) -> None:
         adversary = self._adversary
         assert adversary is not None
-        if self._trace is not None:
-            self._trace.append(self._now, TraceKind.ADVERSARY_WAKEUP, None, "")
+        if self._obs is not None:
+            self._obs.woke(self._now)
         self._apply_adversary_response(adversary.on_wakeup(self._now))
 
     # ------------------------------------------------------ cohort handlers
@@ -1311,12 +1257,9 @@ class ColumnarCore:
         rows = np.fromiter(cohort, np.int64, len(cohort))
         table.state[rows] = _PENDING
         self._pending.update(dict.fromkeys(cohort))
-        if self._trace is not None:
-            append = self._trace.append
-            now = self._now
+        if self._obs is not None:
             ids_l = table.ids_list
-            for idx in cohort:
-                append(now, TraceKind.ARRIVAL, ids_l[idx], "")
+            self._obs.arrived(self._now, [ids_l[idx] for idx in cohort])
         queue = self._queue
         seq = queue._seq
         deadline_l = table.deadline_list
@@ -1356,7 +1299,7 @@ class ColumnarCore:
             self._handle_completion(idx)
 
     def _complete_rows(self, cohort: list[int]) -> None:
-        """State flips + trace for a completion cohort (no hooks due)."""
+        """State flips + report for a completion cohort (no hooks due)."""
         table = self._table
         rows = np.fromiter(cohort, np.int64, len(cohort))
         table.state[rows] = _DONE
@@ -1365,12 +1308,14 @@ class ColumnarCore:
         for idx in cohort:
             visible[idx] = True
             running.pop(idx, None)
-        if self._trace is not None:
-            append = self._trace.append
-            now = self._now
+        if self._obs is not None:
             ids_l = table.ids_list
-            for idx in cohort:
-                append(now, TraceKind.COMPLETION, ids_l[idx], "")
+            plen_l = table.plen_list
+            self._obs.completed(
+                self._now,
+                [ids_l[idx] for idx in cohort],
+                [plen_l[idx] for idx in cohort],
+            )
 
     def _cohort_assign(self, cohort: list[int]) -> int:
         """Vectorised same-time length assignment.
@@ -1421,7 +1366,7 @@ class ColumnarCore:
             plen_l[idx] = lengths_l[off]
         completions_l = completions.tolist()
         same_time = completions == now
-        trace = self._trace
+        obs = self._obs
         if not bool(same_time.any()):
             queue = self._queue
             seq = queue._seq
@@ -1431,19 +1376,14 @@ class ColumnarCore:
             ]
             queue._seq = seq + n
             self._push_raw(items)
-            if trace is not None:
-                append = trace.append
-                for off in range(n):
-                    append(
-                        now,
-                        TraceKind.ASSIGN,
-                        ids[off],
-                        f"length={lengths_l[off]:g}",
-                    )
+            if obs is not None:
+                obs.assigned(now, ids, lengths_l)
             return 0
         same_l = same_time.tolist()
+        # A report must interleave each assignment with its completion,
+        # so the fused path runs disarmed only.
         if (
-            trace is None
+            obs is None
             and self._hook_completion is None
             and self._adv_completion_batch
         ):
@@ -1476,10 +1416,8 @@ class ColumnarCore:
         consumed = 0
         queue = self._queue
         for off, idx in enumerate(cohort):
-            if trace is not None:
-                trace.append(
-                    now, TraceKind.ASSIGN, ids[off], f"length={lengths_l[off]:g}"
-                )
+            if obs is not None:
+                obs.assigned(now, (ids[off],), (lengths_l[off],))
             if same_l[off]:
                 consumed += 1
                 self._handle_completion(idx)
@@ -1540,10 +1478,8 @@ class ColumnarCore:
         table.start_list[idx] = now
         del pending[idx]
         self._running[idx] = None
-        if self._trace is not None:
-            self._trace.append(now, TraceKind.START, job_id, "")
         if self._obs is not None:
-            self._obs.instant("engine.start", t=now, job=job_id)
+            self._obs.started(now, (job_id,))
         adversary = self._adversary
         length = table.plen_list[idx]
         if length is not None:
@@ -1570,11 +1506,10 @@ class ColumnarCore:
         if (
             n == 1
             or table.n == 0
-            or self._obs is not None
             or (adversary is not None and not self._adv_start_batch)
         ):
-            # Scalar route: per-start obs instants, or an adversary whose
-            # on_start must observe each start (and answer) in turn.
+            # Scalar route: an adversary whose on_start must observe each
+            # start (and answer) in turn.
             for job_id in job_ids:
                 self._start_job(job_id)
             return
@@ -1634,10 +1569,8 @@ class ColumnarCore:
         for idx in rows_l:
             start_l[idx] = now
             running[idx] = None
-        if self._trace is not None:
-            append = self._trace.append
-            for jid in job_ids:
-                append(now, TraceKind.START, jid, "")
+        if self._obs is not None:
+            self._obs.started(now, job_ids)
         # Completion events for known lengths, ASSIGN events otherwise —
         # pushed in job order, exactly _start_job's seq order.
         plens = table.plen[rows]
@@ -1887,7 +1820,6 @@ class ColumnarCore:
         return SimulationResult(
             events_processed=self._events_processed,
             scheduler=self._scheduler,
-            trace=self._trace,
             recorder=obs,
             materialize=materialize,
             span=span,

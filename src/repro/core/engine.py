@@ -94,7 +94,6 @@ from .errors import (
 from .events import EventKind
 from .job import Instance, Job
 from .schedule import Schedule
-from .trace import Trace
 
 __all__ = [
     "ClairvoyanceGuard",
@@ -426,7 +425,6 @@ class SimulationResult:
     __slots__ = (
         "events_processed",
         "scheduler",
-        "trace",
         "recorder",
         "_schedule",
         "_instance",
@@ -441,7 +439,6 @@ class SimulationResult:
         instance: Instance | None = None,
         events_processed: int,
         scheduler: Any,
-        trace: Trace | None = None,
         recorder: Any | None = None,
         materialize: "Callable[[], tuple[Schedule, Instance]] | None" = None,
         span: float | None = None,
@@ -453,7 +450,6 @@ class SimulationResult:
             )
         self.events_processed = events_processed
         self.scheduler = scheduler
-        self.trace = trace
         #: The armed structured recorder (``None`` when observability was
         #: off) — exposes ``records``/``metrics`` and the JSONL sink.
         self.recorder = recorder
@@ -490,7 +486,7 @@ class SimulationResult:
     def summary(self, reason: str) -> "SimulationResult":
         """This result's span and event count, without the run behind it.
 
-        The summary holds no scheduler, trace, recorder or job table;
+        The summary holds no scheduler, recorder or job table;
         its ``schedule`` and ``instance`` raise :class:`SimulationError`
         with ``reason``.
         """
@@ -530,22 +526,22 @@ class Simulator:
         at arrival).
     max_events:
         Safety cap on dispatched events.
-    trace:
-        When true, record a :class:`~repro.core.trace.Trace` of every
-        event and scheduler action (exposed on the result).
     strict:
         Enable the clairvoyance oracle (see module docstring).  ``None``
         (the default) defers to the ``REPRO_STRICT`` environment
         variable, so test runs can switch the whole suite on at once.
     recorder:
-        A :class:`repro.obs.Recorder` for structured tracing, metrics,
-        and decision provenance.  ``None`` (the default) uses the
-        process's ambient recorder, which ``REPRO_TRACE=1`` arms — so
-        observability needs no code changes at call sites.  A disabled
-        recorder (``NullRecorder`` included) is mapped to ``None``
-        before the event loop starts: the hot path then carries one
-        ``is not None`` test per event, which is what keeps the golden
-        trace bit-identical and the macro-bench overhead ≤2 %.
+        The run's one event channel: a :class:`repro.obs.Recorder`
+        that receives every engine event (once per event kind per
+        same-time cohort), the scheduler's decisions, spans and
+        metrics.  ``None`` (the default) uses the process's ambient
+        recorder, which ``REPRO_TRACE=1`` arms — so observability needs
+        no code changes at call sites.  For the core event trace pass a
+        :class:`~repro.core.trace.Trace` (``Trace(rec)`` keeps ``rec``
+        fed as well).  A disabled recorder (``NullRecorder`` included)
+        is mapped to ``None`` before the event loop starts and never
+        consulted: the hot path then carries one ``is not None`` test
+        per emission site.
 
     The simulator is a façade over one
     :class:`~repro.core.columnar.ColumnarCore`, which owns all run state.
@@ -559,7 +555,6 @@ class Simulator:
         adversary: Adversary | None = None,
         clairvoyant: bool = False,
         max_events: int = MAX_EVENTS_DEFAULT,
-        trace: bool = False,
         strict: bool | None = None,
         recorder: "Recorder | None" = None,
     ) -> None:
@@ -572,7 +567,6 @@ class Simulator:
             adversary=adversary,
             clairvoyant=clairvoyant,
             max_events=max_events,
-            trace=trace,
             strict=strict,
             recorder=recorder,
         )
@@ -691,7 +685,6 @@ def simulate(
     adversary: Adversary | None = None,
     clairvoyant: bool = False,
     max_events: int = MAX_EVENTS_DEFAULT,
-    trace: bool = False,
     strict: bool | None = None,
     recorder: "Recorder | None" = None,
 ) -> SimulationResult:
@@ -712,7 +705,6 @@ def simulate(
         adversary=adversary,
         clairvoyant=clairvoyant,
         max_events=max_events,
-        trace=trace,
         strict=strict,
         recorder=recorder,
     ).run()

@@ -1,9 +1,13 @@
 """Simulation traces: a structured record of everything that happened.
 
-A :class:`Trace` is an append-only sequence of :class:`TraceRecord`
-entries — one per dispatched event plus one per scheduler action — that
-the simulator fills when tracing is enabled
-(``Simulator(..., trace=True)``).  Traces serve three purposes:
+A :class:`Trace` is a recorder (:class:`repro.obs.recorder.Recorder`)
+that keeps one :class:`TraceRecord` per engine event — releases,
+arrivals, deadlines, starts, length assignments, completions, timers and
+adversary wake-ups — in dispatch order.  Pass one to the simulator
+(``simulate(..., recorder=Trace())``) and read it after the run; a
+``Trace(inner)`` also passes every call on to ``inner``, so a run can
+keep its core trace and a structured :class:`~repro.obs.TraceRecorder`
+at once.  Traces serve three purposes:
 
 * **debugging** — inspect exactly why a scheduler started a job when it
   did (the CLI's ``run --trace`` prints them);
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator, Sequence
+
+from ..obs.recorder import Recorder
 
 __all__ = ["TraceKind", "TraceRecord", "Trace"]
 
@@ -59,16 +65,20 @@ class TraceRecord:
         return f"t={self.time:<10g} {self.kind.value:<16}{job}{detail}"
 
 
-class Trace:
-    """An append-only sequence of :class:`TraceRecord`.
+class Trace(Recorder):
+    """An append-only sequence of :class:`TraceRecord`, filled as a recorder.
 
     Iteration yields records in append order, which the simulator
-    guarantees is non-decreasing in time.
+    guarantees is non-decreasing in time.  Every call is also passed on
+    to ``inner`` (when given and enabled).
     """
 
     __slots__ = ("_records",)
 
-    def __init__(self) -> None:
+    enabled = True
+
+    def __init__(self, inner: Recorder | None = None) -> None:
+        super().__init__(inner)
         self._records: list[TraceRecord] = []
 
     def append(
@@ -82,6 +92,60 @@ class Trace:
             TraceRecord(time=time, kind=kind, job_id=job_id, detail=detail)
         )
 
+    def _rows(self, t: float, kind: TraceKind, jobs: Sequence[int]) -> None:
+        self._records.extend(TraceRecord(t, kind, job, "") for job in jobs)
+
+    # -- engine events -------------------------------------------------------
+    def released(
+        self,
+        t: float,
+        jobs: Sequence[int],
+        arrivals: Sequence[float],
+        deadlines: Sequence[float],
+        lengths: Sequence[float | None],
+    ) -> None:
+        self._records.extend(
+            TraceRecord(t, TraceKind.RELEASE, job, f"arrival={arrival:g}")
+            for job, arrival in zip(jobs, arrivals)
+        )
+        super().released(t, jobs, arrivals, deadlines, lengths)
+
+    def arrived(self, t: float, jobs: Sequence[int]) -> None:
+        self._rows(t, TraceKind.ARRIVAL, jobs)
+        super().arrived(t, jobs)
+
+    def deadline_reached(self, t: float, jobs: Sequence[int]) -> None:
+        self._rows(t, TraceKind.DEADLINE, jobs)
+        super().deadline_reached(t, jobs)
+
+    def started(self, t: float, jobs: Sequence[int]) -> None:
+        self._rows(t, TraceKind.START, jobs)
+        super().started(t, jobs)
+
+    def assigned(
+        self, t: float, jobs: Sequence[int], lengths: Sequence[float]
+    ) -> None:
+        self._records.extend(
+            TraceRecord(t, TraceKind.ASSIGN, job, f"length={length:g}")
+            for job, length in zip(jobs, lengths)
+        )
+        super().assigned(t, jobs, lengths)
+
+    def completed(
+        self, t: float, jobs: Sequence[int], lengths: Sequence[float | None]
+    ) -> None:
+        self._rows(t, TraceKind.COMPLETION, jobs)
+        super().completed(t, jobs, lengths)
+
+    def timer_fired(self, t: float, tag: Any) -> None:
+        self.append(t, TraceKind.TIMER, None, repr(tag))
+        super().timer_fired(t, tag)
+
+    def woke(self, t: float) -> None:
+        self.append(t, TraceKind.ADVERSARY_WAKEUP)
+        super().woke(t)
+
+    # -- reading -------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._records)
 
@@ -113,3 +177,6 @@ class Trace:
         if len(self._records) > limit:
             lines.append(f"… {len(self._records) - limit} more records")
         return "\n".join(lines)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Trace({len(self._records)} records)"

@@ -2,10 +2,9 @@
 
 The serving daemon multiplexes many tenant scheduler streams; this
 module is what lets an operator *watch* them.  A
-:class:`TenantTelemetry` consumes the structured records the engine
-already emits through the recorder protocol (``engine.release`` /
-``engine.start`` / ``engine.completion`` instants plus ``decision``
-records) and maintains, online:
+:class:`TenantTelemetry` consumes what the engine already reports
+through the recorder protocol (releases, starts, completions and
+``decision`` records) and maintains, online:
 
 * the **observed span** — the measure of the union of committed run
   intervals ``[s, s+p)`` (an incremental version of
@@ -106,13 +105,14 @@ class TenantTelemetry:
     """One tenant's live aggregates, fed one engine event at a time.
 
     The serve session's output sink calls the ``_handle_*`` methods
-    directly, with the attributes of each ``engine.release`` /
-    ``engine.start`` / ``engine.completion`` instant and each decision's
-    rule, as the engine emits them; no record is built for the feed
-    (the handlers are inside the RL012 hot-section lint scope: no
-    per-job object materialisation; and they write no stdio).  :meth:`observe` is the
-    record-dispatch entry used by trace replay (``repro obs explain`` /
-    ``summarize``) and tests.
+    directly, with each released, started and completed job's values
+    and each decision's rule, as the engine reports them; no record is
+    built for the feed (the handlers are inside the RL012 hot-section
+    lint scope: no per-job object materialisation; and they write no
+    stdio).  :meth:`observe` is the record-dispatch entry used by trace
+    replay (``repro obs explain`` / ``summarize``) and tests: it feeds
+    the same handlers from the ``engine.release`` / ``engine.start`` /
+    ``engine.completion`` instants.
     """
 
     __slots__ = (
@@ -152,46 +152,47 @@ class TenantTelemetry:
         self._deferred: dict[int, tuple[float, float]] = {}
 
     # ------------------------------------------------------- record handlers
-    def _handle_release(self, attrs: Mapping[str, Any]) -> None:
+    def _handle_release(
+        self, job: int, arrival: float, deadline: float, length: float | None
+    ) -> None:
         self.released += 1
-        arrival = float(attrs["arrival"])
+        arrival = float(arrival)
         if self.first_arrival is None or arrival < self.first_arrival:
             self.first_arrival = arrival
-        deadline = float(attrs["deadline"])
-        length = attrs.get("length")
-        job = int(attrs["job"])
+        deadline = float(deadline)
         if length is None:
-            self._deferred[job] = (arrival, deadline)
+            self._deferred[int(job)] = (arrival, deadline)
         else:
             p = float(length)
-            self._lengths[job] = p
+            self._lengths[int(job)] = p
             self.total_work += p
             self.lb.add(arrival, deadline, p)
 
-    def _handle_start(self, attrs: Mapping[str, Any]) -> None:
+    def _handle_start(self, job: int, t: float) -> None:
         self.started += 1
-        t = float(attrs["t"])
+        t = float(t)
         if t > self.clock:
             self.clock = t
-        job = int(attrs["job"])
+        job = int(job)
         p = self._lengths.pop(job, None)
         if p is None:
             self._open_runs[job] = t  # length lands with the completion
         else:
             self._span.add(t, t + p)
 
-    def _handle_completion(self, attrs: Mapping[str, Any]) -> None:
+    def _handle_completion(
+        self, job: int, t: float, length: float | None
+    ) -> None:
         self.completed += 1
-        t = float(attrs["t"])
+        t = float(t)
         if t > self.clock:
             self.clock = t
-        job = int(attrs["job"])
+        job = int(job)
         start = self._open_runs.pop(job, None)
         if start is not None:
             self._span.add(start, t)
         deferred = self._deferred.pop(job, None)
         if deferred is not None:
-            length = attrs.get("length")
             p = float(length) if length is not None else t - (
                 start if start is not None else t
             )
@@ -226,12 +227,18 @@ class TenantTelemetry:
         kind = record.kind
         if kind == KIND_INSTANT:
             name = record.name
+            attrs = record.attrs
             if name == "engine.release":
-                self._handle_release(record.attrs)
+                self._handle_release(
+                    attrs["job"], attrs["arrival"], attrs["deadline"],
+                    attrs.get("length"),
+                )
             elif name == "engine.start":
-                self._handle_start(record.attrs)
+                self._handle_start(attrs["job"], attrs["t"])
             elif name == "engine.completion":
-                self._handle_completion(record.attrs)
+                self._handle_completion(
+                    attrs["job"], attrs["t"], attrs.get("length")
+                )
         elif kind == KIND_DECISION:
             self._handle_decision(record.name)
 

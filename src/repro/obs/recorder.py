@@ -1,5 +1,18 @@
 """The recorder protocol: zero overhead when disabled, structured when on.
 
+The engine reports what happens in a run through exactly one recorder:
+one method per engine event kind (:meth:`Recorder.released`,
+:meth:`~Recorder.arrived`, :meth:`~Recorder.deadline_reached`,
+:meth:`~Recorder.started`, :meth:`~Recorder.assigned`,
+:meth:`~Recorder.completed`, :meth:`~Recorder.timer_fired`,
+:meth:`~Recorder.woke`), each called once per same-time cohort with the
+cohort's job ids in dispatch order, plus instants, decisions, spans and
+metrics.  The base class maps releases, starts and completions onto the
+``engine.release`` / ``engine.start`` / ``engine.completion`` instants
+and ignores the other kinds; a recorder built around an ``inner`` one
+passes every call on to it instead (:class:`repro.core.trace.Trace`
+and the serve session's output sink do).
+
 Two concrete recorders:
 
 * :class:`NullRecorder` — the default.  Every method is a no-op and
@@ -9,14 +22,13 @@ Two concrete recorders:
 
       obs = self._obs          # None when disarmed
       if obs is not None:
-          obs.instant("engine.start", t=now, job=job_id)
+          obs.started(now, (job_id,))
 
   so a disabled recorder costs exactly one ``is not None`` test on the
   hot path — the engine maps any disabled recorder (including an
-  explicit ``NullRecorder``) to ``None`` before the event loop starts.
-  This is what keeps the golden engine trace bit-identical and the
-  ``macro/e1_paper_k2_batch`` overhead within the ≤2 % budget
-  (``python -m repro obs overhead`` measures it).
+  explicit ``NullRecorder``) to ``None`` before the event loop starts,
+  and never consults it (``tests/test_obs_recorder.py`` runs the
+  paper's paths with a disabled recorder whose every method raises).
 
 * :class:`TraceRecorder` — an in-memory structured recorder: an
   append-only list of :class:`~repro.obs.records.ObsRecord` plus a
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 import os
 import time as _time
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from contextlib import contextmanager
 
@@ -80,41 +92,141 @@ def trace_dir() -> str:
 
 
 class Recorder:
-    """Base recorder: the full protocol, all no-ops.
+    """Base recorder: the full protocol.
 
     Subclasses override what they store.  ``enabled`` is the *contract*
     flag: instrumentation may (and the engine does) skip every call when
     it is ``False``, so a disabled recorder must never rely on being
-    invoked.
+    invoked.  A recorder with an :attr:`inner` one passes every call on
+    to it; a disabled ``inner`` is dropped, so it is never consulted
+    either.
     """
 
     enabled: bool = False
+    #: The recorder every call is passed on to (``None``: none).
+    inner: "Recorder | None" = None
+
+    def __init__(self, inner: "Recorder | None" = None) -> None:
+        if inner is not None and inner.enabled:
+            self.inner = inner
+
+    # -- engine events -------------------------------------------------------
+    # One call per event kind per same-time cohort: the time, the
+    # cohort's job ids in dispatch order, and the values per job.
+    def released(
+        self,
+        t: float,
+        jobs: Sequence[int],
+        arrivals: Sequence[float],
+        deadlines: Sequence[float],
+        lengths: Sequence[float | None],
+    ) -> None:
+        """Jobs released at ``t`` (a ``None`` length is not yet known)."""
+        inner = self.inner
+        if inner is not None:
+            inner.released(t, jobs, arrivals, deadlines, lengths)
+            return
+        for job, arrival, deadline, length in zip(
+            jobs, arrivals, deadlines, lengths
+        ):
+            if length is None:
+                self.instant(
+                    "engine.release",
+                    t=t, job=job, arrival=arrival, deadline=deadline,
+                )
+            else:
+                self.instant(
+                    "engine.release",
+                    t=t, job=job, arrival=arrival, deadline=deadline,
+                    length=length,
+                )
+
+    def arrived(self, t: float, jobs: Sequence[int]) -> None:
+        """Jobs that arrived (became startable) at ``t``."""
+        if self.inner is not None:
+            self.inner.arrived(t, jobs)
+
+    def deadline_reached(self, t: float, jobs: Sequence[int]) -> None:
+        """Unstarted jobs whose starting deadline is ``t``."""
+        if self.inner is not None:
+            self.inner.deadline_reached(t, jobs)
+
+    def started(self, t: float, jobs: Sequence[int]) -> None:
+        """Jobs started at ``t`` (final: a start is never revised)."""
+        inner = self.inner
+        if inner is not None:
+            inner.started(t, jobs)
+            return
+        for job in jobs:
+            self.instant("engine.start", t=t, job=job)
+
+    def assigned(
+        self, t: float, jobs: Sequence[int], lengths: Sequence[float]
+    ) -> None:
+        """Lengths an adversary committed at ``t``."""
+        if self.inner is not None:
+            self.inner.assigned(t, jobs, lengths)
+
+    def completed(
+        self, t: float, jobs: Sequence[int], lengths: Sequence[float | None]
+    ) -> None:
+        """Jobs completed at ``t``, with their lengths."""
+        inner = self.inner
+        if inner is not None:
+            inner.completed(t, jobs, lengths)
+            return
+        for job, length in zip(jobs, lengths):
+            self.instant("engine.completion", t=t, job=job, length=length)
+
+    def timer_fired(self, t: float, tag: Any) -> None:
+        """A scheduler timer fired at ``t``."""
+        if self.inner is not None:
+            self.inner.timer_fired(t, tag)
+
+    def woke(self, t: float) -> None:
+        """The adversary woke at ``t``."""
+        if self.inner is not None:
+            self.inner.woke(t)
 
     # -- structured records --------------------------------------------------
     def instant(self, name: str, **attrs: Any) -> None:
         """A point-in-time structured event."""
+        if self.inner is not None:
+            self.inner.instant(name, **attrs)
 
     def decision(
         self, rule: str, *, job: int, t: float, scheduler: str, **attrs: Any
     ) -> None:
         """A scheduler start-decision with its paper rule (provenance)."""
+        if self.inner is not None:
+            self.inner.decision(rule, job=job, t=t, scheduler=scheduler, **attrs)
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[None]:
         """A wall-clock span (context manager)."""
-        yield
+        if self.inner is None:
+            yield
+        else:
+            with self.inner.span(name, **attrs):
+                yield
 
     # -- metrics -------------------------------------------------------------
     def counter_add(self, name: str, value: float = 1.0) -> None:
         """Increment a monotonic counter."""
+        if self.inner is not None:
+            self.inner.counter_add(name, value)
 
     def gauge_set(self, name: str, value: float) -> None:
         """Set a last-value-wins gauge."""
+        if self.inner is not None:
+            self.inner.gauge_set(name, value)
 
     def histogram_observe(
         self, name: str, value: float, edges: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> None:
         """Observe a value into a fixed-bucket histogram."""
+        if self.inner is not None:
+            self.inner.histogram_observe(name, value, edges)
 
     # -- cross-process plumbing ----------------------------------------------
     def metrics_snapshot(self, *, reset: bool = False) -> dict[str, Any] | None:
@@ -124,10 +236,14 @@ class Recorder:
         :func:`repro.perf.parallel._run_chunk` so per-task metrics stream
         back to the parent for merging.
         """
-        return None
+        if self.inner is None:
+            return None
+        return self.inner.metrics_snapshot(reset=reset)
 
     def merge_metrics(self, snapshot: "dict[str, Any] | None") -> None:
-        """Fold a worker's metrics snapshot into this recorder (no-op here)."""
+        """Fold a worker's metrics snapshot into this recorder."""
+        if self.inner is not None:
+            self.inner.merge_metrics(snapshot)
 
 
 class NullRecorder(Recorder):

@@ -11,16 +11,16 @@ produced, in engine order.
 Output sink
 -----------
 The engine's recorder is the session's own sink, not a trace.  Each
-``engine.start`` / ``engine.completion`` instant and each scheduler
-``decision`` becomes its protocol record the moment the engine emits
-it, and ``engine.release``, starts, completions and decisions feed the
-tenant's live :class:`~repro.obs.live.TenantTelemetry` directly.  In
-the paper's online model a start is final once made, so nothing about
-a served record has to be kept.  Only a session opened with
-``trace=True`` (the daemon passes it when it has a ``--trace-dir``)
-also keeps a :class:`~repro.obs.recorder.TraceRecorder`: the sink
-forwards every engine call to it unchanged, so the written trace is
-the one the engine would have recorded itself.
+start, completion and scheduler ``decision`` becomes its protocol
+record the moment the engine reports it, and releases, starts,
+completions and decisions feed the tenant's live
+:class:`~repro.obs.live.TenantTelemetry` directly.  In the paper's
+online model a start is final once made, so nothing about a served
+record has to be kept.  Only a session opened with ``trace=True`` (the
+daemon passes it when it has a ``--trace-dir``) also keeps a
+:class:`~repro.obs.recorder.TraceRecorder`, as the sink's ``inner``
+recorder: the recorder base passes every engine call on to it, so the
+written trace is the one the engine would have recorded itself.
 
 Streamed trace
 --------------
@@ -82,16 +82,14 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..core.engine import SimulationResult, Simulator
 from ..core.errors import SimulationError
 from ..core.job import Instance
 from ..obs.jsonl import JSONL_VERSION
 from ..obs.live import TenantTelemetry
-from ..obs.metrics import DEFAULT_BUCKETS
 from ..obs.recorder import Recorder, TraceRecorder
 from ..schedulers.registry import make_scheduler
 from .journal import append_jsonl
@@ -107,10 +105,10 @@ class _OutputSink(Recorder):
     """The session's engine recorder: protocol records and telemetry.
 
     Appends each start, completion and decision to :attr:`out` as its
-    protocol record and feeds the tenant's telemetry handlers.  With a
-    ``trace``, every call is also forwarded to it as the engine made
-    it; without one, instants, counters, gauges, histograms and spans
-    cost nothing beyond this dispatch.
+    protocol record and feeds the tenant's telemetry handlers.  With the
+    session's trace as ``inner``, every call then goes on to the base
+    class, which passes it to the trace.  Without one the base is
+    skipped: its default mapping would only build instants no one keeps.
     """
 
     enabled = True
@@ -121,33 +119,55 @@ class _OutputSink(Recorder):
         telemetry: TenantTelemetry | None,
         trace: TraceRecorder | None,
     ) -> None:
+        super().__init__(trace)
         self.tenant = tenant
         self.telemetry = telemetry
-        self.trace = trace
         #: Output records of the op being applied (the session swaps in
         #: a fresh list per op).
         self.out: list[dict[str, Any]] = []
 
-    def instant(self, name: str, **attrs: Any) -> None:
+    def released(
+        self,
+        t: float,
+        jobs: Sequence[int],
+        arrivals: Sequence[float],
+        deadlines: Sequence[float],
+        lengths: Sequence[float | None],
+    ) -> None:
         telemetry = self.telemetry
-        if name == "engine.start":
-            self.out.append(
-                {"kind": "start", "tenant": self.tenant,
-                 "job": attrs["job"], "t": attrs["t"]}
+        if telemetry is not None:
+            for job, arrival, deadline, length in zip(
+                jobs, arrivals, deadlines, lengths
+            ):
+                telemetry._handle_release(job, arrival, deadline, length)
+        if self.inner is not None:
+            super().released(t, jobs, arrivals, deadlines, lengths)
+
+    def started(self, t: float, jobs: Sequence[int]) -> None:
+        out = self.out
+        tenant = self.tenant
+        telemetry = self.telemetry
+        for job in jobs:
+            out.append({"kind": "start", "tenant": tenant, "job": job, "t": t})
+            if telemetry is not None:
+                telemetry._handle_start(job, t)
+        if self.inner is not None:
+            super().started(t, jobs)
+
+    def completed(
+        self, t: float, jobs: Sequence[int], lengths: Sequence[float | None]
+    ) -> None:
+        out = self.out
+        tenant = self.tenant
+        telemetry = self.telemetry
+        for job, length in zip(jobs, lengths):
+            out.append(
+                {"kind": "complete", "tenant": tenant, "job": job, "t": t}
             )
             if telemetry is not None:
-                telemetry._handle_start(attrs)
-        elif name == "engine.completion":
-            self.out.append(
-                {"kind": "complete", "tenant": self.tenant,
-                 "job": attrs["job"], "t": attrs["t"]}
-            )
-            if telemetry is not None:
-                telemetry._handle_completion(attrs)
-        elif name == "engine.release" and telemetry is not None:
-            telemetry._handle_release(attrs)
-        if self.trace is not None:
-            self.trace.instant(name, **attrs)
+                telemetry._handle_completion(job, t, length)
+        if self.inner is not None:
+            super().completed(t, jobs, lengths)
 
     def decision(
         self, rule: str, *, job: int, t: float, scheduler: str, **attrs: Any
@@ -158,30 +178,8 @@ class _OutputSink(Recorder):
         )
         if self.telemetry is not None:
             self.telemetry._handle_decision(rule)
-        if self.trace is not None:
-            self.trace.decision(rule, job=job, t=t, scheduler=scheduler, **attrs)
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        if self.trace is None:
-            yield
-        else:
-            with self.trace.span(name, **attrs):
-                yield
-
-    def counter_add(self, name: str, value: float = 1.0) -> None:
-        if self.trace is not None:
-            self.trace.counter_add(name, value)
-
-    def gauge_set(self, name: str, value: float) -> None:
-        if self.trace is not None:
-            self.trace.gauge_set(name, value)
-
-    def histogram_observe(
-        self, name: str, value: float, edges: tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> None:
-        if self.trace is not None:
-            self.trace.histogram_observe(name, value, edges)
+        if self.inner is not None:
+            super().decision(rule, job=job, t=t, scheduler=scheduler, **attrs)
 
 
 class TenantSession:

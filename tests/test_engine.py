@@ -12,6 +12,7 @@ from repro.core import (
     SchedulingViolationError,
     SimulationError,
     Simulator,
+    Trace,
     simulate,
 )
 from repro.core.columnar import ColumnarCore
@@ -363,29 +364,30 @@ class TestCohorts:
         assert kinds == {"arrival", "completion", "assign"}
         assert all(hasattr(EventKind, kind.upper()) for kind in kinds)
 
-    def test_armed_run_dispatches_every_event_singly(self):
-        """The per-kind counters add up only if nothing was gathered, and
-        the armed run matches the (gathering) disarmed one."""
+    def test_armed_run_counts_every_event_once(self):
+        """The per-kind counters add up to the events dispatched, cohorts
+        (and an assign cohort's inline completions) included, and the
+        run with a structured recorder matches the one without."""
         runs = []
         for rec in (None, TraceRecorder()):
             adv = NonClairvoyantLowerBoundAdversary(
                 5.0, geometric_profile(2, 6)
             )
-            runs.append(
-                simulate(
-                    make_scheduler("batch"), adversary=adv,
-                    clairvoyant=False, trace=True, recorder=rec,
-                )
+            trace = Trace(rec)
+            result = simulate(
+                make_scheduler("batch"), adversary=adv,
+                clairvoyant=False, recorder=trace,
             )
-        plain, armed = runs
-        counters = armed.recorder.metrics.counters
+            runs.append((result, trace, rec))
+        (plain, plain_trace, _), (armed, armed_trace, rec) = runs
+        counters = rec.metrics.counters
         per_kind = sum(
             value for name, value in counters.items()
             if name.startswith("engine.events.")
         )
         assert per_kind == counters["engine.events_processed"]
         assert per_kind == plain.events_processed == armed.events_processed
-        assert list(plain.trace) == list(armed.trace)
+        assert list(plain_trace) == list(armed_trace)
 
 
 # ---------------------------------------------------------------------------

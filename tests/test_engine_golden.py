@@ -27,9 +27,9 @@ from repro.adversaries import (
     batch_tightness_instance,
     geometric_profile,
 )
-from repro.core import Simulator, simulate
+from repro.core import Simulator, Trace, simulate
 from repro.core.job import Instance
-from repro.obs import TraceRecorder
+from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.schedulers import Batch, BatchPlus, Eager, Lazy, make_scheduler
 from repro.workloads import WorkloadSpec, generate
 
@@ -52,9 +52,10 @@ def as_rows(trace) -> list[list]:
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_static_golden_trace_event_for_event(name):
-    result = simulate(SCHEDULERS[name](), GOLDEN_INSTANCE, trace=True)
+    trace = Trace()
+    result = simulate(SCHEDULERS[name](), GOLDEN_INSTANCE, recorder=trace)
     expected = GOLDEN[name]
-    assert as_rows(result.trace) == expected["records"]
+    assert as_rows(trace) == expected["records"]
     assert result.span == expected["span"]
     assert result.events_processed == expected["events"]
 
@@ -62,18 +63,20 @@ def test_static_golden_trace_event_for_event(name):
 def test_adversarial_golden_trace_event_for_event():
     """Adaptive run: RELEASE/ASSIGN/ADVERSARY_WAKEUP records included."""
     adv = NonClairvoyantLowerBoundAdversary(4.0, geometric_profile(2, 3))
-    result = simulate(Batch(), adversary=adv, clairvoyant=False, trace=True)
+    trace = Trace()
+    result = simulate(Batch(), adversary=adv, clairvoyant=False, recorder=trace)
     expected = GOLDEN["adversarial/Batch"]
-    assert as_rows(result.trace) == expected["records"]
+    assert as_rows(trace) == expected["records"]
     assert result.span == expected["span"]
     assert result.events_processed == expected["events"]
 
 
 def test_trace_off_matches_trace_on():
     """Tracing must be observation only: identical schedule either way."""
-    with_trace = simulate(BatchPlus(), GOLDEN_INSTANCE, trace=True)
-    without = simulate(BatchPlus(), GOLDEN_INSTANCE, trace=False)
-    assert without.trace is None
+    trace = Trace()
+    with_trace = simulate(BatchPlus(), GOLDEN_INSTANCE, recorder=trace)
+    without = simulate(BatchPlus(), GOLDEN_INSTANCE, recorder=NULL_RECORDER)
+    assert len(trace) and without.recorder is None
     assert without.span == with_trace.span
     assert without.events_processed == with_trace.events_processed
     assert without.schedule.starts() == with_trace.schedule.starts()
@@ -112,7 +115,10 @@ def test_pending_running_indexes_match_schedule():
 # captured from the scalar reference engine: trace rows, starts, span,
 # event count, the resolved jobs and — for armed runs — every obs record
 # (minus the wall-clock ``wall_s``) with the final counters and gauges.
-# The engine must reproduce each line exactly.  A deliberate semantic
+# The engine must reproduce each line exactly, and the same case run
+# with no recorder at all must reproduce its starts, span, event count
+# and jobs (the disarmed paths: schedulers' vectorised starts, the fused
+# same-time assign wave).  A deliberate semantic
 # change recaptures the file, on purpose only, with
 #
 #     PYTHONPATH=src python tests/test_engine_golden.py
@@ -136,17 +142,6 @@ def e2_style_instance(n: int = 30, seed: int = 3) -> Instance:
     )
 
 
-def _run(name: str, instance: Instance, **kwargs):
-    sched = make_scheduler(name)
-    return simulate(
-        sched,
-        instance,
-        clairvoyant=type(sched).requires_clairvoyance,
-        trace=True,
-        **kwargs,
-    )
-
-
 def integral_instance(n: int = 60) -> Instance:
     """Integral times: arrivals, deadlines and completions share instants,
     so same-time cohorts of every gatherable kind form."""
@@ -155,138 +150,196 @@ def integral_instance(n: int = 60) -> Instance:
     )
 
 
-def _armed(name: str, instance: Instance):
-    rec = TraceRecorder()
-    return _run(name, instance, recorder=rec), rec
+def _recorders(armed: bool, traced: bool) -> tuple[Any, Any, Any]:
+    """(engine recorder, core trace, obs recorder) for one oracle run.
+
+    Traced, the engine's recorder is the core trace, wrapping a
+    ``TraceRecorder`` when the case is armed; untraced, the run has no
+    recorder at all.
+    """
+    if not traced:
+        return NULL_RECORDER, None, None
+    rec = TraceRecorder() if armed else None
+    trace = Trace(rec)
+    return trace, trace, rec
 
 
-def _armed_adversarial(name: str, adversary):
-    rec = TraceRecorder()
-    return _adversarial(name, adversary, recorder=rec), rec
+def _run(
+    name: str,
+    instance: Instance,
+    *,
+    traced: bool = True,
+    armed: bool = False,
+    **kwargs: Any,
+):
+    sched = make_scheduler(name)
+    recorder, trace, rec = _recorders(armed, traced)
+    result = simulate(
+        sched,
+        instance,
+        clairvoyant=type(sched).requires_clairvoyance,
+        recorder=recorder,
+        **kwargs,
+    )
+    return result, trace, rec
 
 
-def _adversarial(name: str, adversary, *, clairvoyant: bool = False, **kwargs):
-    return simulate(
+def _adversarial(
+    name: str,
+    adversary,
+    *,
+    traced: bool = True,
+    armed: bool = False,
+    clairvoyant: bool = False,
+    **kwargs: Any,
+):
+    recorder, trace, rec = _recorders(armed, traced)
+    result = simulate(
         make_scheduler(name),
         adversary=adversary,
         clairvoyant=clairvoyant,
-        trace=True,
+        recorder=recorder,
         **kwargs,
     )
+    return result, trace, rec
 
 
-def _streamed(name: str, instance: Instance):
+def _streamed(name: str, instance: Instance, *, traced: bool = True):
     """Feed jobs one at a time in arrival order, the serve-session way."""
     sched = make_scheduler(name)
-    rec = TraceRecorder()
+    recorder, trace, rec = _recorders(True, traced)
     sim = Simulator(
         sched,
         instance=Instance([], name=f"stream/{instance.name}"),
         clairvoyant=type(sched).requires_clairvoyance,
-        trace=True,
-        recorder=rec,
+        recorder=recorder,
     )
     sim.start_stream()
     for job in sorted(instance.jobs, key=lambda j: (j.arrival, j.id)):
         sim.feed([job])
         sim.advance(job.arrival, inclusive=False)
     sim.advance(sim.now + 1.0)  # one inclusive mid-stream advance
-    return sim.finish_stream(), rec
+    return sim.finish_stream(), trace, rec
 
 
-def _oracle_cases() -> dict[str, tuple[Callable[[], Any], dict[str, str]]]:
-    """Case id -> (run builder, environment overrides)."""
-    cases: dict[str, tuple[Callable[[], Any], dict[str, str]]] = {}
+def _oracle_cases() -> dict[str, tuple[Callable[..., Any], dict[str, str]]]:
+    """Case id -> (run builder taking ``traced``, environment overrides)."""
+    cases: dict[str, tuple[Callable[..., Any], dict[str, str]]] = {}
 
-    def add(case_id: str, build: Callable[[], Any], **env: str) -> None:
+    def add(case_id: str, build: Callable[..., Any], **env: str) -> None:
         cases[case_id] = (build, env)
 
     for name in PAPER + BASELINES:
         for seed in (0, 3):
             add(
                 f"static/{name}/seed{seed}",
-                lambda n=name, s=seed: _run(n, e2_style_instance(seed=s)),
+                lambda traced, n=name, s=seed: _run(
+                    n, e2_style_instance(seed=s), traced=traced
+                ),
             )
     for name in ("batch", "batch+"):
         for m in (1, 8):
             add(
                 f"tightness/{name}/m{m}",
-                lambda n=name, m=m: _run(
-                    n, batch_tightness_instance(m=m, mu=5.0).instance
+                lambda traced, n=name, m=m: _run(
+                    n, batch_tightness_instance(m=m, mu=5.0).instance,
+                    traced=traced,
                 ),
             )
     for name in NONCLAIRVOYANT:
         for k in (1, 2):
             add(
                 f"e1/{name}/k{k}",
-                lambda n=name, k=k: _adversarial(
+                lambda traced, n=name, k=k: _adversarial(
                     n,
                     NonClairvoyantLowerBoundAdversary(
                         5.0, geometric_profile(k, 6)
                     ),
+                    traced=traced,
                 ),
             )
     add(
         "e4/profit",
-        lambda: _adversarial(
-            "profit", ClairvoyantLowerBoundAdversary(8), clairvoyant=True
+        lambda traced: _adversarial(
+            "profit", ClairvoyantLowerBoundAdversary(8), clairvoyant=True,
+            traced=traced,
         ),
     )
     for name in PAPER:
-        add(f"armed/{name}", lambda n=name: _armed(n, e2_style_instance()))
+        add(
+            f"armed/{name}",
+            lambda traced, n=name: _run(
+                n, e2_style_instance(), traced=traced, armed=True
+            ),
+        )
         add(
             f"armed-tightness/{name}",
-            lambda n=name: _armed(
-                n, batch_tightness_instance(m=8, mu=5.0).instance
+            lambda traced, n=name: _run(
+                n, batch_tightness_instance(m=8, mu=5.0).instance,
+                traced=traced, armed=True,
             ),
         )
         add(
             f"armed-integral/{name}",
-            lambda n=name: _armed(n, integral_instance()),
+            lambda traced, n=name: _run(
+                n, integral_instance(), traced=traced, armed=True
+            ),
         )
     for name in ("batch", "batch+"):
         add(
             f"armed-e1/{name}",
-            lambda n=name: _armed_adversarial(
-                n, NonClairvoyantLowerBoundAdversary(5.0, geometric_profile(2, 6))
+            lambda traced, n=name: _adversarial(
+                n, NonClairvoyantLowerBoundAdversary(5.0, geometric_profile(2, 6)),
+                traced=traced, armed=True,
             ),
         )
     for name in NONCLAIRVOYANT:
         add(
             f"strict/{name}",
-            lambda n=name: _run(n, e2_style_instance(), strict=True),
+            lambda traced, n=name: _run(
+                n, e2_style_instance(), traced=traced, strict=True
+            ),
         )
         add(
             f"strict-env/{name}",
-            lambda n=name: _run(n, e2_style_instance()),
+            lambda traced, n=name: _run(n, e2_style_instance(), traced=traced),
             REPRO_STRICT="1",
         )
     add(
         "strict-e1/batch",
-        lambda: _adversarial(
+        lambda traced: _adversarial(
             "batch",
             NonClairvoyantLowerBoundAdversary(5.0, geometric_profile(1, 4)),
+            traced=traced,
             strict=True,
         ),
     )
     for name in PAPER + BASELINES:
         add(
             f"empty/{name}",
-            lambda n=name: _run(n, Instance.from_triples([], name="empty")),
+            lambda traced, n=name: _run(
+                n, Instance.from_triples([], name="empty"), traced=traced
+            ),
         )
         add(
             f"single/{name}",
-            lambda n=name: _run(
-                n, Instance.from_triples([(0.0, 2.0, 1.5)], name="single")
+            lambda traced, n=name: _run(
+                n, Instance.from_triples([(0.0, 2.0, 1.5)], name="single"),
+                traced=traced,
             ),
         )
         add(
             f"stream/{name}",
-            lambda n=name: _streamed(n, e2_style_instance(seed=0)),
+            lambda traced, n=name: _streamed(
+                n, e2_style_instance(seed=0), traced=traced
+            ),
         )
     add(
         "empty-armed/batch",
-        lambda: _armed("batch", Instance.from_triples([], name="empty")),
+        lambda traced: _run(
+            "batch", Instance.from_triples([], name="empty"),
+            traced=traced, armed=True,
+        ),
     )
     return cases
 
@@ -296,17 +349,19 @@ ORACLE_CASES = _oracle_cases()
 
 def observe(outcome: Any) -> dict[str, Any]:
     """One run's observable output, JSON-normalised (tuples -> lists)."""
-    result, rec = outcome if isinstance(outcome, tuple) else (outcome, None)
-    out: dict[str, Any] = {
-        "trace": as_rows(result.trace),
-        "starts": sorted(result.schedule.starts().items()),
-        "span": result.span,
-        "events": result.events_processed,
-        "jobs": [
+    result, trace, rec = outcome
+    out: dict[str, Any] = {}
+    if trace is not None:
+        out["trace"] = as_rows(trace)
+    out.update(
+        starts=sorted(result.schedule.starts().items()),
+        span=result.span,
+        events=result.events_processed,
+        jobs=[
             [j.id, j.arrival, j.deadline, j.length, j.size]
             for j in result.instance
         ],
-    }
+    )
     if rec is not None:
         out["records"] = [
             [
@@ -339,7 +394,18 @@ def test_engine_matches_recorded_oracle(case_id, monkeypatch):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     expected = _load_oracle()[case_id]
-    assert observe(build()) == expected
+    assert observe(build(traced=True)) == expected
+
+
+@pytest.mark.parametrize("case_id", sorted(ORACLE_CASES))
+def test_disarmed_run_matches_recorded_oracle(case_id, monkeypatch):
+    build, env = ORACLE_CASES[case_id]
+    monkeypatch.delenv("REPRO_STRICT", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    expected = _load_oracle()[case_id]
+    got = observe(build(traced=False))
+    assert got == {key: expected[key] for key in got}
 
 
 def _write_oracle() -> None:
@@ -348,7 +414,7 @@ def _write_oracle() -> None:
         for case_id in sorted(ORACLE_CASES):
             build, env = ORACLE_CASES[case_id]
             os.environ.update(env)
-            row = {"case": case_id, **observe(build())}
+            row = {"case": case_id, **observe(build(traced=True))}
             for key in env:
                 del os.environ[key]
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Instance
+from repro.core import Instance, Trace
 from repro.core.columnar import ColumnarCore
 from repro.core.engine import Simulator
 from repro.core.errors import SimulationError
@@ -94,11 +94,15 @@ class TestStreamBatchParity:
             )
 
     @pytest.mark.parametrize("name", ["batch", "batch+", "epoch-batch"])
-    def test_disarmed_stream_gathers_cohorts_identically(
-        self, name, monkeypatch
+    @pytest.mark.parametrize(
+        "inner", [None, TraceRecorder], ids=["alone", "obs"]
+    )
+    def test_stream_gathers_cohorts_identically(
+        self, inner, name, monkeypatch
     ):
-        """Without a recorder the loop takes same-time cohorts in one
-        step; the streamed trace must still equal the batch trace."""
+        """The loop takes same-time cohorts in one step whatever the
+        trace wraps; the streamed trace must still equal the batch
+        trace."""
         cohorts = []
         original = ColumnarCore._cohort_completion
 
@@ -110,23 +114,25 @@ class TestStreamBatchParity:
         inst = Instance.from_triples(
             [(i // 3, 2, 1 + i % 2) for i in range(30)], name="cohorts"
         )
-        batch = Simulator(make_scheduler(name), instance=inst, trace=True)
+        batch_trace = Trace(inner and inner())
+        batch = Simulator(
+            make_scheduler(name), instance=inst, recorder=batch_trace
+        )
         batch_result = batch.run()
         cohorts.clear()
+        trace = Trace(inner and inner())
         sim = Simulator(
             make_scheduler(name), instance=Instance([], name=inst.name),
-            trace=True,
+            recorder=trace,
         )
         sim.start_stream()
         for job in sorted(inst.jobs, key=lambda j: (j.arrival, j.id)):
             sim.feed([job])
             sim.advance(job.arrival, inclusive=False)
         result = sim.finish_stream()
-        release_free = [
-            r for r in result.trace if r.kind.value != "release"
-        ]
+        release_free = [r for r in trace if r.kind.value != "release"]
         assert release_free == [
-            r for r in batch_result.trace if r.kind.value != "release"
+            r for r in batch_trace if r.kind.value != "release"
         ]
         assert result.events_processed == batch_result.events_processed
         assert result.span == batch_result.span

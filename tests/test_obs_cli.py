@@ -1,5 +1,5 @@
 """End-to-end CLI tests: ``repro run`` trace emission and the
-``repro obs`` subcommands (summarize / explain / diff / export / overhead)."""
+``repro obs`` subcommands (summarize / explain / diff / export)."""
 
 from __future__ import annotations
 
@@ -21,12 +21,12 @@ def _restore_ambient(monkeypatch):
     set_recorder(previous)
 
 
-def run_traced(scheduler: str, tmp_path, monkeypatch) -> Path:
+def run_traced(scheduler: str, tmp_path, monkeypatch, *extra: str) -> Path:
     """``REPRO_TRACE=1 repro run <scheduler>`` writing into ``tmp_path``."""
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
     reset_recorder()  # re-arm the ambient recorder from the environment
-    assert main(["run", scheduler, "--jobs", "12", "--seed", "3"]) == 0
+    assert main(["run", scheduler, "--jobs", "12", "--seed", "3", *extra]) == 0
     trace = tmp_path / f"{scheduler}.trace.jsonl"
     assert trace.exists()
     return trace
@@ -42,6 +42,36 @@ class TestRunWritesTrace:
         assert loaded.meta["scheduler"] == "batch+"
         assert loaded.by_kind("decision")
         assert loaded.metrics.counters["engine.jobs"] == 12.0
+
+    def test_core_trace_wraps_the_ambient_recorder(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--trace`` prints the core trace and leaves the JSONL records
+        as the run writes them without it (``ts`` and ``wall_s`` aside)."""
+
+        def rows(path: Path) -> list:
+            out = []
+            for line in path.read_text().splitlines():
+                row = json.loads(line)
+                if row["kind"] == "metrics":
+                    data = row["data"]
+                    out.append([data["counters"], data["gauges"]])
+                elif row["kind"] != "meta":
+                    del row["ts"]
+                    row["attrs"].pop("wall_s", None)
+                    out.append(row)
+            return out
+
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "traced").mkdir()
+        plain = run_traced("batch+", tmp_path / "plain", monkeypatch)
+        assert "start" not in capsys.readouterr().out
+        traced = run_traced("batch+", tmp_path / "traced", monkeypatch, "--trace")
+        printed = capsys.readouterr().out
+        assert "release          J0" in printed
+        assert printed.count("start            J") == 12
+        assert rows(traced) == rows(plain)
+        assert any(r["name"] == "engine.start" for r in rows(traced)[:-1])
 
     def test_disarmed_run_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
@@ -155,25 +185,3 @@ class TestDiffCLI:
     def test_negative_threshold_rejected(self, tmp_path):
         before = self._bench(tmp_path / "b.json", **{"c": 1.0})
         assert main(["obs", "diff", before, before, "--threshold", "-1"]) == 2
-
-
-class TestOverheadCLI:
-    """The ratchet's pass/fail logic, with timing stubbed out."""
-
-    @staticmethod
-    def _stub(monkeypatch, *, null_wall: float):
-        def fake_time_macro(quick, recorder, repeat):
-            disarmed = recorder is NULL_RECORDER
-            return (1.0 if disarmed else null_wall), 1000
-
-        monkeypatch.setattr("repro.obs.cli._time_macro", fake_time_macro)
-
-    def test_within_tolerance_passes(self, monkeypatch, capsys):
-        self._stub(monkeypatch, null_wall=1.01)
-        assert main(["obs", "overhead", "--quick", "--repeat", "1"]) == 0
-        assert "OK: NullRecorder" in capsys.readouterr().out
-
-    def test_exceeding_tolerance_fails(self, monkeypatch, capsys):
-        self._stub(monkeypatch, null_wall=1.10)
-        assert main(["obs", "overhead", "--quick", "--repeat", "1"]) == 1
-        assert "FAIL" in capsys.readouterr().err

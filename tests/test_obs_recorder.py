@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClairvoyanceError, Instance
+from repro.core import ClairvoyanceError, Instance, Trace
 from repro.core.engine import Simulator, simulate
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -39,18 +39,14 @@ class TestNullRecorderIdentity:
     def test_results_identical_across_disarmed_recorders(self, simple_instance):
         outputs = []
         for rec in (None, NullRecorder(), NULL_RECORDER):
-            result = simulate(
-                BatchPlus(), simple_instance, trace=True, recorder=rec
-            )
+            trace = Trace(rec)
+            result = simulate(BatchPlus(), simple_instance, recorder=trace)
             outputs.append(
                 (
                     result.span,
                     result.events_processed,
                     sorted(result.schedule.starts().items()),
-                    [
-                        (e.time, e.kind, e.job_id, e.detail)
-                        for e in (result.trace or [])
-                    ],
+                    [(e.time, e.kind, e.job_id, e.detail) for e in trace],
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
@@ -73,6 +69,8 @@ class TestNullRecorderIdentity:
 
             instant = decision = span = counter_add = gauge_set = _consulted
             histogram_observe = metrics_snapshot = merge_metrics = _consulted
+            released = arrived = deadline_reached = started = _consulted
+            assigned = completed = timer_fired = woke = _consulted
 
         def run(recorder):
             if case == "e1-adversary":

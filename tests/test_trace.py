@@ -6,18 +6,33 @@ from __future__ import annotations
 from repro.adversaries import NonClairvoyantLowerBoundAdversary, geometric_profile
 from repro.core import Instance, TraceKind, simulate
 from repro.core.trace import Trace
+from repro.obs import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.schedulers import Batch, BatchPlus, Doubler
+
+
+def traced(scheduler, instance=None, **kwargs):
+    """Run with a core trace as the recorder; returns (result, trace)."""
+    trace = Trace()
+    return simulate(scheduler, instance, recorder=trace, **kwargs), trace
+
+
+def _rows(recorder):
+    return [
+        (r.kind, r.name, {k: v for k, v in r.attrs.items() if k != "wall_s"})
+        for r in recorder.records
+    ]
 
 
 class TestTraceCollection:
     def test_disabled_by_default(self, simple_instance):
-        result = simulate(BatchPlus(), simple_instance)
-        assert result.trace is None
+        """A run keeps no core trace unless one is its recorder."""
+        result = simulate(BatchPlus(), simple_instance, recorder=NULL_RECORDER)
+        assert result.recorder is None
+        assert not hasattr(result, "trace")
 
     def test_enabled_records_everything(self, simple_instance):
-        result = simulate(BatchPlus(), simple_instance, trace=True)
-        trace = result.trace
-        assert trace is not None
+        result, trace = traced(BatchPlus(), simple_instance)
+        assert result.recorder is trace
         n = len(simple_instance)
         assert len(trace.filter(TraceKind.RELEASE)) == n
         assert len(trace.filter(TraceKind.ARRIVAL)) == n
@@ -25,33 +40,32 @@ class TestTraceCollection:
         assert len(trace.filter(TraceKind.COMPLETION)) == n
 
     def test_times_monotone(self, simple_instance):
-        result = simulate(Batch(), simple_instance, trace=True)
-        times = [r.time for r in result.trace]
+        _, trace = traced(Batch(), simple_instance)
+        times = [r.time for r in trace]
         assert times == sorted(times)
 
     def test_starts_match_schedule(self, simple_instance):
-        result = simulate(Batch(), simple_instance, trace=True)
-        assert result.trace.starts() == result.schedule.starts()
+        result, trace = traced(Batch(), simple_instance)
+        assert trace.starts() == result.schedule.starts()
 
     def test_per_job_lifecycle_order(self, simple_instance):
-        result = simulate(BatchPlus(), simple_instance, trace=True)
+        _, trace = traced(BatchPlus(), simple_instance)
         for job in simple_instance:
-            kinds = [r.kind for r in result.trace.for_job(job.id)]
+            kinds = [r.kind for r in trace.for_job(job.id)]
             assert kinds.index(TraceKind.RELEASE) < kinds.index(TraceKind.ARRIVAL)
             assert kinds.index(TraceKind.ARRIVAL) < kinds.index(TraceKind.START)
             assert kinds.index(TraceKind.START) < kinds.index(TraceKind.COMPLETION)
 
     def test_timer_records(self):
         inst = Instance.from_triples([(0, 10, 3)])
-        result = simulate(Doubler(), inst, clairvoyant=True, trace=True)
-        assert len(result.trace.filter(TraceKind.TIMER)) >= 1
+        _, trace = traced(Doubler(), inst, clairvoyant=True)
+        assert len(trace.filter(TraceKind.TIMER)) >= 1
 
     def test_adversary_records(self):
         adv = NonClairvoyantLowerBoundAdversary(
             mu=3.0, profile=geometric_profile(1, 4)
         )
-        result = simulate(Batch(), adversary=adv, clairvoyant=False, trace=True)
-        trace = result.trace
+        _, trace = traced(Batch(), adversary=adv, clairvoyant=False)
         assigns = trace.filter(TraceKind.ASSIGN)
         # every adversary-released (length=None) job gets an assignment
         assert len(assigns) == 16  # iteration 1 jobs; final 4 have fixed lengths
@@ -60,6 +74,25 @@ class TestTraceCollection:
         earmark = adv.earmarked_ids[0]
         detail = [r.detail for r in assigns if r.job_id == earmark]
         assert detail == ["length=3"]
+
+    def test_inner_recorder_gets_every_call(self, simple_instance):
+        """``Trace(rec)`` leaves ``rec`` with what it records on its own."""
+        alone = TraceRecorder()
+        simulate(BatchPlus(), simple_instance, recorder=alone)
+        inner = TraceRecorder()
+        trace = Trace(inner)
+        simulate(BatchPlus(), simple_instance, recorder=trace)
+        assert trace.inner is inner and len(trace)
+        assert _rows(inner) == _rows(alone)
+        assert inner.metrics.counters == alone.metrics.counters
+
+    def test_disabled_inner_is_dropped(self, simple_instance):
+        for disabled in (NULL_RECORDER, NullRecorder()):
+            trace = Trace(disabled)
+            assert trace.inner is None
+        _, plain = traced(BatchPlus(), simple_instance)
+        simulate(BatchPlus(), simple_instance, recorder=trace)
+        assert list(trace) == list(plain)
 
 
 class TestTraceApi:
@@ -81,5 +114,5 @@ class TestTraceApi:
         deadline (Eager-started jobs never produce one)."""
         from repro.schedulers import Eager
 
-        result = simulate(Eager(), simple_instance, trace=True)
-        assert result.trace.filter(TraceKind.DEADLINE) == []
+        _, trace = traced(Eager(), simple_instance)
+        assert trace.filter(TraceKind.DEADLINE) == []
