@@ -36,21 +36,34 @@ def run_async(coro):
 
 
 class Client:
-    """A JSONL protocol client over a Unix socket."""
+    """A JSONL protocol client over a Unix socket (or a TCP one)."""
 
     def __init__(self, reader, writer):
         self.reader = reader
         self.writer = writer
 
     @classmethod
-    async def connect(cls, path, limit: int | None = None):
-        """``limit`` caps the client-side StreamReader buffer — a truly
+    async def connect(
+        cls, address, limit: int | None = None, rcvbuf: int | None = None
+    ):
+        """``address`` is a socket path or a ``(host, port)`` pair.
+        ``limit`` caps the client-side StreamReader buffer — a truly
         stalled consumer needs a small one, or asyncio's background read
-        silently absorbs ~64KB of daemon output."""
-        kwargs = {} if limit is None else {"limit": limit}
-        reader, writer = await asyncio.open_unix_connection(
-            str(path), **kwargs
-        )
+        silently absorbs ~64KB of daemon output.  ``rcvbuf`` sets a TCP
+        client's receive buffer before the handshake, so the window it
+        advertises stays that small."""
+        kwargs: dict = {} if limit is None else {"limit": limit}
+        if isinstance(address, tuple):
+            sock = socket.socket()
+            if rcvbuf is not None:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, address)
+            reader, writer = await asyncio.open_connection(sock=sock, **kwargs)
+        else:
+            reader, writer = await asyncio.open_unix_connection(
+                str(address), **kwargs
+            )
         return cls(reader, writer)
 
     async def send(self, obj):
@@ -85,14 +98,31 @@ class Client:
             pass
 
 
-async def start_daemon(tmp_path, **kwargs):
-    """Start a unix-socket daemon; returns (daemon, task, socket path)."""
+async def start_daemon(tmp_path, listener="unix", **kwargs):
+    """Start a daemon; returns (daemon, task, address).
+
+    The address is the socket path for a ``"unix"`` listener, and the
+    ``(host, port)`` the daemon reports ready on for ``"tcp"`` (bound
+    to 127.0.0.1, port 0).
+    """
     daemon = ServeDaemon(**kwargs)
     ready = asyncio.Event()
-    daemon.on_ready = lambda address: ready.set()
-    sock = tmp_path / "serve.sock"
-    task = asyncio.create_task(daemon.run_unix(sock))
+    bound: list[str] = []
+
+    def on_ready(address: str) -> None:
+        bound.append(address)
+        ready.set()
+
+    daemon.on_ready = on_ready
+    if listener == "tcp":
+        task = asyncio.create_task(daemon.run_tcp("127.0.0.1", 0))
+    else:
+        sock = tmp_path / "serve.sock"
+        task = asyncio.create_task(daemon.run_unix(sock))
     await asyncio.wait_for(ready.wait(), timeout=10.0)
+    if listener == "tcp":
+        _, host, port = bound[0].split(":")
+        return daemon, task, (host, int(port))
     return daemon, task, sock
 
 
@@ -303,19 +333,23 @@ class TestDaemonBadInput:
 
 
 class TestDaemonBackpressure:
-    def test_stalled_consumer_bounds_daemon_memory(self, tmp_path):
+    @pytest.mark.parametrize("listener", ["unix", "tcp"])
+    def test_stalled_consumer_bounds_daemon_memory(self, tmp_path, listener):
         """A consumer that stops reading must stall intake (bounded
-        queues all the way down) — not grow daemon buffers."""
-        N = 400
+        queues all the way down) — not grow daemon buffers — on either
+        socket listener.  The stream outgrows what intake may hold: the
+        framer's 64 KiB read chunk plus twice the reader's limit."""
+        N = 1200
 
         async def scenario():
             # Small max_line also bounds the daemon's raw reader buffer,
             # so stalled parsing stops byte intake instead of hiding
             # ~128KB in the server-side StreamReader.
-            daemon, task, sock = await start_daemon(
-                tmp_path, queue_size_override=4, max_line_override=256
+            daemon, task, address = await start_daemon(
+                tmp_path, listener, queue_size_override=4,
+                max_line_override=256,
             )
-            client = await Client.connect(sock, limit=1024)
+            client = await Client.connect(address, limit=1024, rcvbuf=4096)
             await client.recv()  # ready
             # Shrink the daemon-side socket send buffer so the kernel
             # absorbs very little: the writer blocks early and the
@@ -349,8 +383,13 @@ class TestDaemonBackpressure:
                         break
                 else:
                     last, stable = daemon.lines_in, 0
-            assert not producer.done()  # the client's send() blocked too
+            if listener == "unix":
+                # (A TCP receive buffer takes the rest of this stream.)
+                assert not producer.done()  # the client's send() blocked too
             assert daemon.lines_in < N  # intake genuinely stalled
+            # The daemon's reader stopped reading the socket: it holds
+            # about twice its limit (--max-line), not asyncio's default.
+            assert not conn._writer.transport.is_reading()
             state = daemon.tenants["t1"]
             assert state.queue.qsize() <= 4
             assert conn.out.qsize() <= 4
