@@ -92,7 +92,6 @@ class BlockingCallInCoroutineRule(ProgramRule):
 
     code = "RL017"
     name = "blocking-call-in-coroutine"
-    severity = "error"
     description = (
         "synchronous blocking call reachable from an event-loop "
         "coroutine — move it behind asyncio.to_thread/run_in_executor"
@@ -150,7 +149,6 @@ class OrphanedTaskRule(ProgramRule):
 
     code = "RL018"
     name = "orphaned-task"
-    severity = "error"
     description = (
         "create_task() result discarded — the task can be collected "
         "mid-flight and its exceptions are never retrieved"
@@ -207,7 +205,6 @@ class UnboundedChannelRule(ProgramRule):
 
     code = "RL019"
     name = "unbounded-channel"
-    severity = "error"
     description = (
         "asyncio.Queue()/StreamReader() without an explicit bound in "
         "the serving layer — every backpressure hop must be bounded"
@@ -294,7 +291,6 @@ class UnshieldedCleanupAwaitRule(ProgramRule):
 
     code = "RL020"
     name = "unshielded-cleanup-await"
-    severity = "error"
     description = (
         "await in a finally block without asyncio.shield or a "
         "CancelledError hard-stop handler — cancellation abandons "
@@ -365,7 +361,6 @@ class QueueJoinProtocolRule(ProgramRule):
 
     code = "RL021"
     name = "queue-join-protocol"
-    severity = "error"
     description = (
         "Queue.join() without task_done() on every consumer path (or "
         "poison pill enqueued before the join) — the drain hangs"

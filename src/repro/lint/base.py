@@ -92,7 +92,6 @@ class Rule:
 
     code: str = "RL000"
     name: str = "unnamed"
-    severity: str = "error"
     description: str = ""
 
     def applies_to(self, path: str) -> bool:
@@ -111,7 +110,6 @@ class Rule:
     ) -> LintFinding:
         return LintFinding(
             rule=self.code,
-            severity=self.severity,
             path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
@@ -160,7 +158,6 @@ class ProgramRule(Rule):
     ) -> LintFinding:
         return LintFinding(
             rule=self.code,
-            severity=self.severity,
             path=path,
             line=line,
             col=col,

@@ -85,7 +85,7 @@ def _explain(code: str) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     doc = inspect.getdoc(type(rule)) or "(no documentation)"
-    print(f"{rule.code} {rule.name} ({rule.severity})")
+    print(f"{rule.code} {rule.name}")
     print(f"  {rule.description}")
     print()
     print(doc)

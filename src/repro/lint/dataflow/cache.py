@@ -45,7 +45,7 @@ __all__ = ["AnalysisCache", "default_cache_path", "file_key", "ruleset_digest"]
 #: Bump when the summary schema, finding replay format, or lint scope
 #: constants change (scope fragments feed rule applicability, which a
 #: stale cache would otherwise keep serving from the old scope).
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 
 #: Directory name used by the CLI default (gitignored).
 CACHE_DIR_NAME = ".repro_lint_cache"

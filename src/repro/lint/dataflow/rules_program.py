@@ -70,7 +70,6 @@ class CrossModuleClairvoyanceTaint(ProgramRule):
 
     code = "RL007"
     name = "cross-module-clairvoyance-taint"
-    severity = "error"
     description = (
         "non-clairvoyant scheduler reaches a pre-completion job.length "
         "read through the whole-program call graph"

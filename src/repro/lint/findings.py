@@ -22,8 +22,6 @@ class LintFinding:
     ----------
     rule:
         Rule code (``"RL003"`` … ``"RL021"``).
-    severity:
-        ``"error"`` (gates CI) or ``"warning"`` (informational).
     path:
         Path of the offending file as scanned (usually repo-relative).
     line, col:
@@ -35,7 +33,6 @@ class LintFinding:
     """
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
@@ -46,13 +43,12 @@ class LintFinding:
         sym = f" [{self.symbol}]" if self.symbol else ""
         return (
             f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} ({self.severity}){sym}: {self.message}"
+            f"{self.rule}{sym}: {self.message}"
         )
 
     def to_dict(self) -> dict[str, object]:
         return {
             "rule": self.rule,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -65,7 +61,6 @@ class LintFinding:
         """Inverse of :meth:`to_dict` (cache replay, JSON round-trips)."""
         return cls(
             rule=str(data["rule"]),
-            severity=str(data["severity"]),
             path=str(data["path"]),
             line=int(data["line"]),  # type: ignore[arg-type]
             col=int(data["col"]),  # type: ignore[arg-type]
@@ -86,17 +81,9 @@ class LintReport:
     suppressed: int = 0
 
     @property
-    def errors(self) -> list[LintFinding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> list[LintFinding]:
-        return [f for f in self.findings if f.severity == "warning"]
-
-    @property
     def clean(self) -> bool:
-        """True when nothing gates: no errors."""
-        return not self.errors
+        """True when there is no finding (every finding gates)."""
+        return not self.findings
 
     def sort(self) -> None:
         self.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -105,8 +92,7 @@ class LintReport:
         """Human-readable report in the ``audit`` house style."""
         lines = [f.render() for f in self.findings]
         summary = (
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s) "
-            f"in {self.files_scanned} file(s)"
+            f"{len(self.findings)} finding(s) in {self.files_scanned} file(s)"
         )
         extras = []
         if self.files_reanalyzed != self.files_scanned:
@@ -125,8 +111,6 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "files_reanalyzed": self.files_reanalyzed,
             "suppressed": self.suppressed,
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
             "clean": self.clean,
         }
         return json.dumps(payload, indent=2, sort_keys=True)

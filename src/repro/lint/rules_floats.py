@@ -205,7 +205,6 @@ class FloatHygieneRule(Rule):
 
     code = "RL003"
     name = "float-hygiene"
-    severity = "error"
     description = (
         "exact ==/!= between float-typed expressions in theorem "
         "certification code; use Fraction or a documented tolerance"

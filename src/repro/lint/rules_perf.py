@@ -107,7 +107,6 @@ class HotPathAllocRule(Rule):
 
     code = "RL012"
     name = "hot-path-object-alloc"
-    severity = "error"
     description = (
         "per-job object construction or attribute-gather loop in an "
         "engine-core hot section — use JobTable row indexes, column "

@@ -108,7 +108,6 @@ def _analyze_one(rel: str, file: Path, codes: list[str]) -> dict[str, Any]:
     except SyntaxError as exc:
         finding = LintFinding(
             rule="RL000",
-            severity="error",
             path=rel,
             line=exc.lineno or 1,
             col=exc.offset or 0,
