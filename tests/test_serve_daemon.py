@@ -333,12 +333,19 @@ class TestDaemonBadInput:
 
 
 class TestDaemonBackpressure:
-    @pytest.mark.parametrize("listener", ["unix", "tcp"])
-    def test_stalled_consumer_bounds_daemon_memory(self, tmp_path, listener):
+    def test_stalled_consumer_bounds_daemon_memory(self, tmp_path):
         """A consumer that stops reading must stall intake (bounded
-        queues all the way down) — not grow daemon buffers — on either
-        socket listener.  The stream outgrows what intake may hold: the
-        framer's 64 KiB read chunk plus twice the reader's limit."""
+        queues all the way down) — not grow daemon buffers."""
+        self._stalled_consumer(tmp_path, "unix")
+
+    def test_stalled_tcp_consumer_bounds_daemon_memory(self, tmp_path):
+        """The same over the TCP listener (127.0.0.1, port 0)."""
+        self._stalled_consumer(tmp_path, "tcp")
+
+    @staticmethod
+    def _stalled_consumer(tmp_path, listener):
+        """The stream outgrows what intake may hold: the framer's 64 KiB
+        read chunk plus twice the reader's limit."""
         N = 1200
 
         async def scenario():
