@@ -59,8 +59,10 @@ Gathered and single dispatch are observably identical: the same traces,
 schedules, exceptions (type, message, and which job raises first) and
 obs records, apart from the heap mechanics an armed run counts
 (``engine.heap.pushes``: same-time completions an assign cohort consumes
-inline are never pushed).  ``tests/data/engine_oracle.jsonl`` pins that
-output; the rules that make it hold are spelled out at each site below.
+inline are never pushed) and the type of a reported time (a cohort
+reports at its first member's time, so ``2`` and ``2.0`` print alike).
+``tests/data/engine_oracle.jsonl`` pins that output; the rules that make
+it hold are spelled out at each site below.
 
 A streaming run may also *fold* (:meth:`ColumnarCore.fold`): at an idle
 instant it drops its completed rows and renumbers the rest, keeping of

@@ -1,13 +1,11 @@
 """Simulation traces: a structured record of everything that happened.
 
 A :class:`Trace` is a recorder (:class:`repro.obs.recorder.Recorder`)
-that keeps one :class:`TraceRecord` per engine event — releases,
-arrivals, deadlines, starts, length assignments, completions, timers and
-adversary wake-ups — in dispatch order.  Pass one to the simulator
-(``simulate(..., recorder=Trace())``) and read it after the run; a
-``Trace(inner)`` also passes every call on to ``inner``, so a run can
-keep its core trace and a structured :class:`~repro.obs.TraceRecorder`
-at once.  Traces serve three purposes:
+that keeps one :class:`TraceRecord` per engine event, in dispatch order:
+pass ``simulate(..., recorder=Trace())`` and read it after the run.
+``Trace(inner)`` passes every call on to ``inner`` as well, so a run
+can keep its core trace and a :class:`~repro.obs.TraceRecorder` at
+once.  Traces serve three purposes:
 
 * **debugging** — inspect exactly why a scheduler started a job when it
   did (the CLI's ``run --trace`` prints them);
@@ -177,6 +175,3 @@ class Trace(Recorder):
         if len(self._records) > limit:
             lines.append(f"… {len(self._records) - limit} more records")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Trace({len(self._records)} records)"

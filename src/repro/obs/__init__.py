@@ -7,7 +7,8 @@ engine slower?* — without costing anything when switched off.
 
 Components
 ----------
-* :mod:`repro.obs.recorder` — the :class:`Recorder` protocol;
+* :mod:`repro.obs.recorder` — the :class:`Recorder` protocol, the
+  engine's one event channel (one method per engine event kind);
   :class:`NullRecorder` (default, zero overhead) and
   :class:`TraceRecorder` (in-memory records + metrics).  Armed by
   ``REPRO_TRACE=1`` or ``Simulator(recorder=...)``.
@@ -26,7 +27,7 @@ Components
 * :mod:`repro.obs.top` — the ``repro obs top`` terminal dashboard over
   the daemon's telemetry listener.
 * :mod:`repro.obs.cli` — ``python -m repro obs summarize|explain|diff|
-  export|overhead|top``.
+  export|top``.
 
 See ``docs/observability.md`` for the guided tour.
 """

@@ -1,17 +1,12 @@
 """The recorder protocol: zero overhead when disabled, structured when on.
 
-The engine reports what happens in a run through exactly one recorder:
-one method per engine event kind (:meth:`Recorder.released`,
-:meth:`~Recorder.arrived`, :meth:`~Recorder.deadline_reached`,
-:meth:`~Recorder.started`, :meth:`~Recorder.assigned`,
-:meth:`~Recorder.completed`, :meth:`~Recorder.timer_fired`,
-:meth:`~Recorder.woke`), each called once per same-time cohort with the
-cohort's job ids in dispatch order, plus instants, decisions, spans and
-metrics.  The base class maps releases, starts and completions onto the
-``engine.release`` / ``engine.start`` / ``engine.completion`` instants
-and ignores the other kinds; a recorder built around an ``inner`` one
-passes every call on to it instead (:class:`repro.core.trace.Trace`
-and the serve session's output sink do).
+A recorder is the engine's one event channel: one method per engine
+event kind, called once per same-time cohort with the cohort's job ids
+in dispatch order, plus instants, decisions, spans and metrics.  The
+base class maps releases, starts and completions onto the
+``engine.release`` / ``engine.start`` / ``engine.completion`` instants;
+a recorder built around an ``inner`` one passes every call on to it
+(:class:`repro.core.trace.Trace` and the serve session's sink do).
 
 Two concrete recorders:
 
@@ -129,17 +124,10 @@ class Recorder:
         for job, arrival, deadline, length in zip(
             jobs, arrivals, deadlines, lengths
         ):
-            if length is None:
-                self.instant(
-                    "engine.release",
-                    t=t, job=job, arrival=arrival, deadline=deadline,
-                )
-            else:
-                self.instant(
-                    "engine.release",
-                    t=t, job=job, arrival=arrival, deadline=deadline,
-                    length=length,
-                )
+            attrs = {"t": t, "job": job, "arrival": arrival, "deadline": deadline}
+            if length is not None:
+                attrs["length"] = length
+            self.instant("engine.release", **attrs)
 
     def arrived(self, t: float, jobs: Sequence[int]) -> None:
         """Jobs that arrived (became startable) at ``t``."""

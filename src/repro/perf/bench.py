@@ -240,8 +240,7 @@ def _bench_serve_two_tenants(
     :class:`repro.obs.live.TenantTelemetry` per session, exactly as the
     daemon wires it), and ``snapshot_every`` additionally renders a full
     aggregator snapshot every that-many job indices — the cost a scrape
-    of the daemon's ``/snapshot`` endpoint adds.  ``repro obs overhead
-    --telemetry`` times the armed/disarmed pair of this workload.
+    of the daemon's ``/snapshot`` endpoint adds.
     """
     from ..obs.live import LiveAggregator
     from ..serve.protocol import parse_op
