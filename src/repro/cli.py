@@ -209,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .obs import TraceRecorder, get_recorder, trace_dir
+
     if args.instance:
         inst = load_instance(args.instance)
     else:
@@ -219,8 +221,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         inst = generate(spec, seed=args.seed)
     sched = make_scheduler(args.scheduler)
-    from .obs import TraceRecorder, get_recorder, trace_dir
-
     # The core trace wraps the ambient recorder, so REPRO_TRACE=1 still
     # gets its JSONL records alongside the printed trace.
     recorder = get_recorder()

@@ -40,6 +40,7 @@ class TestNullRecorderIdentity:
         outputs = []
         for rec in (None, NullRecorder(), NULL_RECORDER):
             trace = Trace(rec)
+            assert trace.inner is None  # a disabled inner is dropped
             result = simulate(BatchPlus(), simple_instance, recorder=trace)
             outputs.append(
                 (

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.adversaries import NonClairvoyantLowerBoundAdversary, geometric_profile
 from repro.core import Instance, TraceKind, simulate
 from repro.core.trace import Trace
-from repro.obs import NULL_RECORDER, NullRecorder, TraceRecorder
+from repro.obs import NULL_RECORDER
 from repro.schedulers import Batch, BatchPlus, Doubler
 
 
@@ -14,13 +14,6 @@ def traced(scheduler, instance=None, **kwargs):
     """Run with a core trace as the recorder; returns (result, trace)."""
     trace = Trace()
     return simulate(scheduler, instance, recorder=trace, **kwargs), trace
-
-
-def _rows(recorder):
-    return [
-        (r.kind, r.name, {k: v for k, v in r.attrs.items() if k != "wall_s"})
-        for r in recorder.records
-    ]
 
 
 class TestTraceCollection:
@@ -74,25 +67,6 @@ class TestTraceCollection:
         earmark = adv.earmarked_ids[0]
         detail = [r.detail for r in assigns if r.job_id == earmark]
         assert detail == ["length=3"]
-
-    def test_inner_recorder_gets_every_call(self, simple_instance):
-        """``Trace(rec)`` leaves ``rec`` with what it records on its own."""
-        alone = TraceRecorder()
-        simulate(BatchPlus(), simple_instance, recorder=alone)
-        inner = TraceRecorder()
-        trace = Trace(inner)
-        simulate(BatchPlus(), simple_instance, recorder=trace)
-        assert trace.inner is inner and len(trace)
-        assert _rows(inner) == _rows(alone)
-        assert inner.metrics.counters == alone.metrics.counters
-
-    def test_disabled_inner_is_dropped(self, simple_instance):
-        for disabled in (NULL_RECORDER, NullRecorder()):
-            trace = Trace(disabled)
-            assert trace.inner is None
-        _, plain = traced(BatchPlus(), simple_instance)
-        simulate(BatchPlus(), simple_instance, recorder=trace)
-        assert list(trace) == list(plain)
 
 
 class TestTraceApi:
